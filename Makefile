@@ -80,18 +80,22 @@ bench-obs-smoke:
 # Group-backend benchmark (the BENCH_PR7.json numbers): the same
 # protocols end to end over each commutative-encryption backend —
 # qr1024 (the paper's parameters) vs ec25519 — plus the per-operation
-# C_e and hash-to-element costs, and the Montgomery-vs-big.Int modexp
-# comparison that certifies the fixed-width gate.
+# C_e and hash-to-element costs, the Montgomery-vs-big.Int modexp
+# comparison that certifies the fixed-width gate, and the ec25519
+# kernel microbenchmarks (field mul/square/invert, MapToPoint,
+# ScalarMult, Decode, Encode).
 bench-group:
 	$(GO) test -run xxx -bench GroupBackend -benchtime 3x .
 	$(GO) test -run xxx -bench MontVsBigExp -benchtime 50x ./internal/group
+	$(GO) test -run xxx -bench . ./internal/ec25519
 
 # Short-mode smoke of the backend benches (tiny sets, one iteration):
-# a regression that breaks a backend's protocol path or the Montgomery
-# ladder fails check.
+# a regression that breaks a backend's protocol path, the Montgomery
+# ladder or an ec25519 kernel fails check.
 bench-group-smoke:
 	$(GO) test -short -run xxx -bench GroupBackend -benchtime 1x .
 	$(GO) test -run xxx -bench MontVsBigExp -benchtime 1x ./internal/group
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/ec25519
 
 # Shard-parallel benchmark (the BENCH_PR8.json numbers): the same
 # intersection over a modelled 4.5 Mbit/s link, classic single session

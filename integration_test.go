@@ -56,6 +56,8 @@ func TestIntegrationServerFromCSV(t *testing.T) {
 		Records:  records,
 		Multiset: multiset,
 		Auditor:  leakage.NewAuditor(leakage.AuditPolicy{MaxOverlapFraction: 1}),
+		// Shutdown lets a session still recording its audit entry finish.
+		DrainTimeout: 10 * time.Second,
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -125,13 +127,14 @@ func TestIntegrationServerFromCSV(t *testing.T) {
 		t.Errorf("join size = %d, want 5", js.JoinSize)
 	}
 
-	// The audit trail recorded all four sessions.
-	if got := len(srv.Auditor.Trail()); got != 4 {
-		t.Errorf("audit trail has %d entries, want 4", got)
-	}
+	// The audit trail recorded all four sessions.  A session's entry lands
+	// after its last frame, so read the trail once Serve has drained.
 	cancel()
 	ln.Close()
 	<-done
+	if got := len(srv.Auditor.Trail()); got != 4 {
+		t.Errorf("audit trail has %d entries, want 4", got)
+	}
 }
 
 // TestIntegrationSQLAgainstPlaintext fuzzes the SQL executor against

@@ -68,6 +68,17 @@ func spillHashed(ctx context.Context, v *vault, conn transport.Conn) {
 	_ = conn.Send(ctx, v.hash.Bytes()) // sanitized at the store: no finding
 }
 
+// store is a setter: the concrete source reaches the field only
+// through a helper's parameter.
+func store(v *vault, x *big.Int) {
+	v.exp = x
+}
+
+func setterLaunderedFieldLeak(ctx context.Context, v *vault, k *commutative.Key, conn transport.Conn) {
+	store(v, k.Exponent())
+	_ = conn.Send(ctx, v.exp.Bytes()) // want `leakflow: unsanitized flow`
+}
+
 // ---- goroutine- and channel-carried taint ---------------------------
 
 func goroutineLeak(k *commutative.Key) {

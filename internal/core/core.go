@@ -332,6 +332,15 @@ func (s *session) handshake(ctx context.Context, proto wire.Protocol, mySize int
 	if sendFirst {
 		stamp()
 		if err := s.send(ctx, my); err != nil {
+			// A peer that refuses the session outright (a saturated
+			// server) sends its reason and hangs up, possibly before our
+			// header goes out.  The connection is closed, so the recv
+			// cannot block: report the queued reason if there is one.
+			if errors.Is(err, transport.ErrClosed) {
+				if _, rerr := s.recv(ctx, wire.KindHeader); errors.Is(rerr, ErrPeerFailure) {
+					return 0, rerr
+				}
+			}
 			return 0, err
 		}
 		m, err := s.recv(ctx, wire.KindHeader)

@@ -2,6 +2,7 @@ package ec25519
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"crypto/sha512"
 	"math/big"
 	"math/rand"
@@ -33,12 +34,22 @@ func feFromBig(v *big.Int) fe {
 	return feFromBytes(buf[:])
 }
 
-// TestFieldArithmeticDifferential cross-checks fe add/sub/mul/square/
-// invert against math/big over random operands.
+// TestFieldArithmeticDifferential cross-checks fe add/sub/mul/square
+// and the fixed addition chains against math/big over random operands
+// and over 0, 1 and p-1: inversion (p-2) and the square-root exponent
+// (p-5)/8 against Exp, and feSqrtRatio's square test against the
+// Legendre symbol (p-1)/2.
 func TestFieldArithmeticDifferential(t *testing.T) {
+	pMinus2 := new(big.Int).Sub(pBig, big.NewInt(2))
+	pMinus5Over8 := new(big.Int).Rsh(new(big.Int).Sub(pBig, big.NewInt(5)), 3)
+	pMinus1Over2 := new(big.Int).Rsh(new(big.Int).Sub(pBig, big.NewInt(1)), 1)
+	operands := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(pBig, big.NewInt(1))}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
-		a := new(big.Int).Rand(rng, pBig)
+		operands = append(operands, new(big.Int).Rand(rng, pBig))
+	}
+	squares := 0
+	for i, a := range operands {
 		b := new(big.Int).Rand(rng, pBig)
 		fa, fb := feFromBig(a), feFromBig(b)
 
@@ -71,14 +82,136 @@ func TestFieldArithmeticDifferential(t *testing.T) {
 			t.Fatalf("square mismatch at i=%d", i)
 		}
 
-		if a.Sign() != 0 {
-			feInvert(&got, &fa)
-			want.ModInverse(a, pBig)
-			if feToBig(t, &got).Cmp(want) != 0 {
-				t.Fatalf("invert mismatch at i=%d", i)
+		feInvert(&got, &fa)
+		if feToBig(t, &got).Cmp(want.Exp(a, pMinus2, pBig)) != 0 {
+			t.Fatalf("inversion chain != a^(p-2) at i=%d", i)
+		}
+
+		fePow22523(&got, &fa)
+		if feToBig(t, &got).Cmp(want.Exp(a, pMinus5Over8, pBig)) != 0 {
+			t.Fatalf("pow22523 chain != a^((p-5)/8) at i=%d", i)
+		}
+
+		want.Exp(a, pMinus1Over2, pBig)
+		wantSquare := want.Sign() == 0 || want.Cmp(big.NewInt(1)) == 0
+		isSquare := feSqrtRatio(&got, &fa, &feOne)
+		if isSquare != wantSquare {
+			t.Fatalf("feSqrtRatio square=%v, Legendre says %v at i=%d", isSquare, wantSquare, i)
+		}
+		if isSquare {
+			squares++
+			r := feToBig(t, &got)
+			if r.Bit(0) != 0 {
+				t.Fatalf("root is negative at i=%d", i)
+			}
+			if want.Exp(r, big.NewInt(2), pBig).Cmp(a) != 0 {
+				t.Fatalf("root does not square back at i=%d", i)
 			}
 		}
 	}
+	if squares < 150 || squares > len(operands)-150 {
+		t.Fatalf("%d of %d operands square; the Legendre split looks wrong", squares, len(operands))
+	}
+}
+
+// TestRecodeSigned16 checks that the signed digits sum back to the
+// scalar and stay in range, including at the 2^256-1 extreme whose top
+// carry lands in the 65th digit.
+func TestRecodeSigned16(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var scalars [][32]byte
+	var allOnes, zero [32]byte
+	for i := range allOnes {
+		allOnes[i] = 0xFF
+	}
+	scalars = append(scalars, allOnes, zero)
+	for i := 0; i < 100; i++ {
+		var e [32]byte
+		rng.Read(e[:])
+		scalars = append(scalars, e)
+	}
+	for _, e := range scalars {
+		d := recodeSigned16(&e)
+		sum := new(big.Int)
+		for i := 64; i >= 0; i-- {
+			if i < 64 && (d[i] < -8 || d[i] > 7) {
+				t.Fatalf("digit %d = %d out of [-8, 7]", i, d[i])
+			}
+			sum.Lsh(sum, 4)
+			sum.Add(sum, big.NewInt(int64(d[i])))
+		}
+		if d[64] != 0 && d[64] != 1 {
+			t.Fatalf("top digit %d", d[64])
+		}
+		if sum.Cmp(new(big.Int).SetBytes(e[:])) != 0 {
+			t.Fatalf("digits of %x sum to %x", e, sum)
+		}
+	}
+}
+
+// TestScalarMultMatchesX25519 is an independent oracle for ScalarMult:
+// the standard library's X25519 (a Montgomery ladder on u-coordinates)
+// must agree with e·P mapped through u = (1+y)/(1-y), for clamped
+// scalars on mapped points and on a point with a torsion component
+// (clamping clears the cofactor, so the torsion drops out of both).
+func TestScalarMultMatchesX25519(t *testing.T) {
+	var points []*Point
+	for i := 0; i < 8; i++ {
+		seed := sha512.Sum512([]byte{byte(i), 'x', '2', '5', '5', '1', '9'})
+		points = append(points, MapToPoint(seed[:]))
+	}
+	var zeroY [32]byte
+	torsion, err := Decode(zeroY[:]) // (x, 0) with x² = -1: order 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	points = append(points, basePoint(t), basePoint(t).Add(torsion))
+
+	rng := rand.New(rand.NewSource(4))
+	for i, p := range points {
+		for j := 0; j < 4; j++ {
+			var k [32]byte // little-endian, as X25519 takes it
+			rng.Read(k[:])
+			k[0] &= 248
+			k[31] &= 127
+			k[31] |= 64
+			priv, err := ecdh.X25519().NewPrivateKey(k[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := montgomeryU(p)
+			pub, err := ecdh.X25519().NewPublicKey(u[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := priv.ECDH(pub)
+			if err != nil {
+				t.Fatalf("point %d: X25519: %v", i, err)
+			}
+			var e [32]byte // big-endian, as ScalarMult takes it
+			for b := range e {
+				e[b] = k[31-b]
+			}
+			got := montgomeryU(p.ScalarMult(&e))
+			if !bytes.Equal(got[:], want) {
+				t.Fatalf("point %d scalar %d: ScalarMult u = %x, X25519 = %x", i, j, got, want)
+			}
+		}
+	}
+}
+
+// montgomeryU returns the little-endian Montgomery u = (1+y)/(1-y) of p.
+func montgomeryU(p *Point) [32]byte {
+	var zInv, y, num, den fe
+	feInvert(&zInv, &p.z)
+	feMul(&y, &p.y, &zInv)
+	feAdd(&num, &feOne, &y)
+	feSub(&den, &feOne, &y)
+	feInvert(&den, &den)
+	feMul(&num, &num, &den)
+	var out [32]byte
+	num.toBytes(&out)
+	return out
 }
 
 // basePoint returns the standard generator (x, 4/5) with x

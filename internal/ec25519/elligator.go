@@ -18,10 +18,10 @@ import (
 	"math/big"
 )
 
-// Curve and exponent constants, computed once at package
-// initialization from first principles (so the only magic numbers in
-// the package are the curve parameters 121665/121666, the Montgomery
-// coefficient A = 486662, and the subgroup order).
+// Curve constants, computed once at package initialization from first
+// principles (so the only magic numbers in the package are the curve
+// parameters 121665/121666, the Montgomery coefficient A = 486662, and
+// the subgroup order).
 var (
 	// dConst is the Edwards d = -121665/121666.
 	dConst fe
@@ -29,6 +29,9 @@ var (
 	d2Const fe
 	// sqrtM1Const is √-1 = 2^((p-1)/4).
 	sqrtM1Const fe
+	// sqrt2Const is 2^((p+3)/8), which carries a square-root
+	// candidate for g(x1) to one for g(x2) = 2r²·g(x1) in the map.
+	sqrt2Const fe
 	// montAConst is the Montgomery coefficient A = 486662 of
 	// v² = u³ + Au² + u.
 	montAConst fe
@@ -36,32 +39,22 @@ var (
 	// birational map from Montgomery u,v to Edwards x.
 	sqrtNegAPlus2Const fe
 
-	// expPMinus2 is p-2 (inversion exponent), big-endian.
-	expPMinus2 []byte
-	// expPMinus5Over8 is (p-5)/8 (square-root exponent), big-endian.
-	expPMinus5Over8 []byte
-	// expPMinus1Over2 is (p-1)/2 (Legendre exponent), big-endian.
-	expPMinus1Over2 []byte
-
 	// orderL is the subgroup order ℓ = 2^252 + 27742…493.
 	orderL *big.Int
 )
 
 func init() {
-	p := new(big.Int).Lsh(big.NewInt(1), 255)
-	p.Sub(p, big.NewInt(19))
-
-	expPMinus2 = new(big.Int).Sub(p, big.NewInt(2)).Bytes()
-	expPMinus5Over8 = new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(5)), 3).Bytes()
-	expPMinus1Over2 = new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 1).Bytes()
-
-	// √-1 before anything that calls feSqrtRatio.
-	quarter := new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 2)
+	// 2^((p-5)/8) gives both 2^((p+3)/8) = 2^((p-5)/8)·2 and, squared
+	// and doubled, √-1 = 2^((p-1)/4); both before anything that calls
+	// feSqrtRatio.
 	two := fe{l0: 2}
-	fePow(&sqrtM1Const, &two, quarter.Bytes())
-	var chk fe
+	var t fe
+	fePow22523(&t, &two)
+	feMul(&sqrt2Const, &t, &two)
+	feSquare(&sqrtM1Const, &t)
+	feMul(&sqrtM1Const, &sqrtM1Const, &two)
+	var chk, minusOne fe
 	feSquare(&chk, &sqrtM1Const)
-	var minusOne fe
 	feNeg(&minusOne, &feOne)
 	if !feEqual(&chk, &minusOne) {
 		panic("ec25519: sqrt(-1) constant failed self-check")
@@ -110,87 +103,104 @@ func MapToPoint(uniform []byte) *Point {
 	if len(uniform) != HashLen {
 		panic(fmt.Sprintf("ec25519: MapToPoint needs %d bytes, got %d", HashLen, len(uniform)))
 	}
-	v := new(big.Int).SetBytes(uniform)
-	p := new(big.Int).Lsh(big.NewInt(1), 255)
-	p.Sub(p, big.NewInt(19))
-	v.Mod(v, p)
-
-	var buf [32]byte
-	v.FillBytes(buf[:])
-	// feFromBytes is little-endian; big.Int serialized big-endian.
-	for i, j := 0, 31; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
-	r := feFromBytes(buf[:])
-
-	ed := elligator2(&r)
-	ed.double(ed)
-	ed.double(ed)
-	ed.double(ed)
-	return ed
+	r := feFromWideBytes(uniform)
+	var pr projective
+	elligator2(&pr, &r)
+	var out Point
+	out.mulByCofactor(pr)
+	return &out
 }
 
-// elligator2 maps a field element onto the curve: the Elligator2 map
-// to Montgomery (u, v), then the birational correspondence
-// x = √-(A+2)·u/v, y = (u-1)/(u+1) to Edwards coordinates.  The
-// handful of exceptional inputs (v = 0 or u = -1, whose images are
-// pure torsion) collapse to the identity; they are hit with
-// probability ~2^-253.
-func elligator2(r *fe) *Point {
-	// d0 = -A / (1 + 2r²); inv(0) = 0 handles 1 + 2r² = 0.
-	var rr2, den, d0, negA fe
-	feSquare(&rr2, r)
-	feAdd(&rr2, &rr2, &rr2)
-	feAdd(&den, &rr2, &feOne)
-	feInvert(&den, &den)
-	feNeg(&negA, &montAConst)
-	feMul(&d0, &negA, &den)
-
-	// u = d0 if g(d0) is square, else -d0 - A (Elligator2 guarantees
-	// exactly one branch yields a square).
-	var gd, chi, u fe
-	montRHS(&gd, &d0)
-	fePow(&chi, &gd, expPMinus1Over2)
-	if feEqual(&chi, &feOne) || feIsZero(&gd) {
-		u = d0
-	} else {
-		feSub(&u, &negA, &d0)
+// feFromWideBytes reduces a 64-byte big-endian integer H·2^256 + L
+// modulo p as 38·H + L, with each 256-bit half loaded as its low 255
+// bits plus 19 times its top bit (2^255 ≡ 19, 2^256 ≡ 38).
+func feFromWideBytes(b []byte) fe {
+	var hi, lo [32]byte
+	for i := 0; i < 32; i++ {
+		hi[i] = b[31-i]
+		lo[i] = b[63-i]
 	}
-
-	var gu, v fe
-	montRHS(&gu, &u)
-	if !feSqrtRatio(&v, &gu, &feOne) {
-		panic("ec25519: elligator2 branch selection failed")
-	}
-	// v is the non-negative root — the deterministic sign choice.
-
-	// Exceptional points of the birational map.
-	var uPlus1 fe
-	feAdd(&uPlus1, &u, &feOne)
-	if feIsZero(&v) || feIsZero(&uPlus1) {
-		return Identity()
-	}
-
-	var x, y, inv fe
-	feInvert(&inv, &v)
-	feMul(&x, &sqrtNegAPlus2Const, &u)
-	feMul(&x, &x, &inv)
-	feInvert(&inv, &uPlus1)
-	feSub(&y, &u, &feOne)
-	feMul(&y, &y, &inv)
-
-	pt := &Point{x: x, y: y, z: feOne}
-	feMul(&pt.t, &x, &y)
-	return pt
+	h := feFromBytes(hi[:])
+	h.l0 += 19 * uint64(hi[31]>>7)
+	l := feFromBytes(lo[:])
+	l.l0 += 19 * uint64(lo[31]>>7)
+	var v fe
+	feMul(&v, &h, &fe{l0: 38})
+	feAdd(&v, &v, &l)
+	return v
 }
 
-// montRHS sets g = u³ + A·u² + u, the right-hand side of the
-// Montgomery curve equation.
-func montRHS(g, u *fe) {
-	var u2, u3, au2 fe
-	feSquare(&u2, u)
-	feMul(&u3, &u2, u)
-	feMul(&au2, &montAConst, &u2)
-	feAdd(g, &u3, &au2)
-	feAdd(g, g, u)
+// elligator2 maps a field element onto the curve as a projective
+// Edwards point, straight-line in the style of RFC 9380 App. G.2.1
+// with one exponentiation and no inversion.  Montgomery side: with
+// x1 = -A/(1+2r²) and x2 = 2r²·x1, exactly one of g(x1), g(x2) is
+// square (g(u) = u³ + Au² + u); u is x1 if g(x1) is square, else x2,
+// and v is the non-negative root of g(u).  Edwards side: the
+// birational map x = √-(A+2)·u/v, y = (u-1)/(u+1), kept projective
+// with u = xn/xd.  The exceptional inputs (v = 0 or u = -1, whose
+// images are pure torsion) go to the identity; v = 0 happens only at
+// r = 0, and u = -1 never (it would need r² to be (A-1)/2 or
+// 1/(2(A-1)), both non-squares).
+func elligator2(out *projective, r *fe) {
+	// x1 = x1n/xd with x1n = -A, xd = 1 + 2r² (never zero: 2 is a
+	// non-square and -1 a square, so 2r² ≠ -1).
+	var tv1, xd, x1n, x2n fe
+	feSquare(&tv1, r)
+	feAdd(&tv1, &tv1, &tv1) // 2r²
+	feAdd(&xd, &tv1, &feOne)
+	feNeg(&x1n, &montAConst)
+	feMul(&x2n, &x1n, &tv1)
+
+	// g(x1) = gx1/gxd with gxd = xd³ and
+	// gx1 = x1n³ + A·x1n²·xd + x1n·xd² = x1n·(x1n·(x1n + A·xd) + xd²),
+	// where x1n + A·xd = A·2r².
+	var xd2, gxd, gx1, gx2 fe
+	feSquare(&xd2, &xd)
+	feMul(&gxd, &xd2, &xd)
+	feMul(&gx1, &montAConst, &tv1)
+	feMul(&gx1, &gx1, &x1n)
+	feAdd(&gx1, &gx1, &xd2)
+	feMul(&gx1, &gx1, &x1n)
+	feMul(&gx2, &gx1, &tv1) // g(x2)·xd³ = 2r²·gx1
+
+	// y1 starts as the square-root candidate of gx1/gxd and
+	// y2 = y1·r·2^((p+3)/8) as that of gx2/gxd; each is fixed up by √-1
+	// when its check fails.
+	var y1, y2, alt, check fe
+	sqrtRatioCandidate(&y1, &gx1, &gxd)
+	feMul(&y2, &y1, r)
+	feMul(&y2, &y2, &sqrt2Const)
+
+	feSquare(&check, &y1)
+	feMul(&check, &check, &gxd)
+	feMul(&alt, &y1, &sqrtM1Const)
+	feSelect(&y1, &y1, &alt, feEqual(&check, &gx1))
+	feSquare(&check, &y2)
+	feMul(&check, &check, &gxd)
+	feMul(&alt, &y2, &sqrtM1Const)
+	feSelect(&y2, &y2, &alt, feEqual(&check, &gx2))
+
+	// g(x1) is square exactly when the fixed-up y1 is its root.
+	feSquare(&check, &y1)
+	feMul(&check, &check, &gxd)
+	x1Square := feEqual(&check, &gx1)
+	var xn, v fe
+	feSelect(&xn, &x1n, &x2n, x1Square)
+	feSelect(&v, &y1, &y2, x1Square)
+	feAbs(&v, &v)
+
+	// (x, y) = (√-(A+2)·xn·(xn+xd), (xn-xd)·xd·v) / (xd·v·(xn+xd)).
+	var xPlus, xMinus, vxd fe
+	feAdd(&xPlus, &xn, &xd)
+	feSub(&xMinus, &xn, &xd)
+	feMul(&vxd, &v, &xd)
+	feMul(&out.x, &sqrtNegAPlus2Const, &xn)
+	feMul(&out.x, &out.x, &xPlus)
+	feMul(&out.y, &xMinus, &vxd)
+	feMul(&out.z, &vxd, &xPlus)
+
+	exceptional := feIsZero(&out.z)
+	feSelect(&out.x, &feZero, &out.x, exceptional)
+	feSelect(&out.y, &feOne, &out.y, exceptional)
+	feSelect(&out.z, &feOne, &out.z, exceptional)
 }

@@ -195,27 +195,58 @@ func feSquare(v, a *fe) {
 	v.carryPropagate()
 }
 
-// fePow sets v = a^e, with the exponent given as big-endian bytes.
-// Plain MSB-first square-and-multiply; used for inversion, square
-// roots and Legendre symbols, which are off the per-element hot path.
-func fePow(v, a *fe, exp []byte) {
-	base := *a // allow v == a aliasing
-	out := feOne
-	for _, by := range exp {
-		for bit := 7; bit >= 0; bit-- {
-			feSquare(&out, &out)
-			if by>>uint(bit)&1 == 1 {
-				feMul(&out, &out, &base)
-			}
-		}
+// feSquareN sets v = a^(2^n), n ≥ 1: n repeated squarings.
+func feSquareN(v, a *fe, n int) {
+	feSquare(v, a)
+	for i := 1; i < n; i++ {
+		feSquare(v, v)
 	}
-	*v = out
 }
 
-// feInvert sets v = a^{-1} = a^{p-2}; inversion of zero yields zero,
-// which the exceptional-case handling in the Elligator map relies on.
+// pow2k250m1 sets v = a^(2^250-1) and a11 = a^11, the shared prefix of
+// the inversion and square-root exponents: 249 S + 10 M along the
+// standard chain 2^5-1, 2^10-1, 2^20-1, 2^40-1, 2^50-1, 2^100-1,
+// 2^200-1, 2^250-1.
+func pow2k250m1(v, a11, a *fe) {
+	var a2, a9, t, e5, e10, e20, e50, e100 fe
+	feSquare(&a2, a)
+	feSquareN(&t, &a2, 2)
+	feMul(&a9, &t, a)    // a^9
+	feMul(a11, &a9, &a2) // a^11
+	feSquare(&t, a11)
+	feMul(&e5, &t, &a9) // a^(2^5-1)
+	feSquareN(&t, &e5, 5)
+	feMul(&e10, &t, &e5) // a^(2^10-1)
+	feSquareN(&t, &e10, 10)
+	feMul(&e20, &t, &e10) // a^(2^20-1)
+	feSquareN(&t, &e20, 20)
+	feMul(&t, &t, &e20) // a^(2^40-1)
+	feSquareN(&t, &t, 10)
+	feMul(&e50, &t, &e10) // a^(2^50-1)
+	feSquareN(&t, &e50, 50)
+	feMul(&e100, &t, &e50) // a^(2^100-1)
+	feSquareN(&t, &e100, 100)
+	feMul(&t, &t, &e100) // a^(2^200-1)
+	feSquareN(&t, &t, 50)
+	feMul(v, &t, &e50) // a^(2^250-1)
+}
+
+// feInvert sets v = a^{-1} = a^(p-2) = a^(2^255-21) by a fixed
+// addition chain (254 S + 11 M); inversion of zero yields zero.
 func feInvert(v, a *fe) {
-	fePow(v, a, expPMinus2)
+	var t, a11 fe
+	pow2k250m1(&t, &a11, a)
+	feSquareN(&t, &t, 5) // 2^255 - 32
+	feMul(v, &t, &a11)   // 2^255 - 21
+}
+
+// fePow22523 sets v = a^((p-5)/8) = a^(2^252-3) (251 S + 11 M), the
+// exponent of the p ≡ 5 (mod 8) square-root candidate.
+func fePow22523(v, a *fe) {
+	var t, a11 fe
+	pow2k250m1(&t, &a11, a)
+	feSquareN(&t, &t, 2) // 2^252 - 4
+	feMul(v, &t, a)      // 2^252 - 3
 }
 
 // feFromBytes loads a 32-byte little-endian encoding, ignoring the
@@ -288,11 +319,23 @@ func feIsNegative(a *fe) bool {
 	return ab[0]&1 == 1
 }
 
+// feSelect sets v = a if cond, else b, without branching on cond.
+func feSelect(v, a, b *fe, cond bool) {
+	var c uint64
+	if cond {
+		c = 1
+	}
+	m := -c
+	v.l0 = b.l0 ^ m&(a.l0^b.l0)
+	v.l1 = b.l1 ^ m&(a.l1^b.l1)
+	v.l2 = b.l2 ^ m&(a.l2^b.l2)
+	v.l3 = b.l3 ^ m&(a.l3^b.l3)
+	v.l4 = b.l4 ^ m&(a.l4^b.l4)
+}
+
 // feAbs sets v to a if a is non-negative, else to -a.
 func feAbs(v, a *fe) {
-	if feIsNegative(a) {
-		feNeg(v, a)
-	} else {
-		*v = *a
-	}
+	var neg fe
+	feNeg(&neg, a)
+	feSelect(v, &neg, a, feIsNegative(a))
 }

@@ -1,6 +1,7 @@
 package ec25519
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 )
@@ -44,56 +45,108 @@ func Identity() *Point {
 	return &p
 }
 
-// add sets v = p + q using the complete a=-1 extended-coordinate
-// addition (add-2008-hwcd-3).
-func (v *Point) add(p, q *Point) {
-	var a, b, c, d, e, f, g, h, t0, t1 fe
+// Intermediate representations.  The addition and doubling formulas
+// first produce a "completed" point; finishing it into projective
+// (X : Y : Z) costs 3 M and into extended (X : Y : Z : T) 4 M.  A
+// doubling reads only X, Y, Z, so a chain of doublings carries T only
+// into the step whose result feeds an addition.
 
-	feSub(&t0, &p.y, &p.x)
-	feSub(&t1, &q.y, &q.x)
-	feMul(&a, &t0, &t1) // A = (Y1-X1)(Y2-X2)
+// completed is the point ((X : Z), (Y : T)) with x = X/Z, y = Y/T.
+type completed struct {
+	x, y, z, t fe
+}
 
-	feAdd(&t0, &p.y, &p.x)
-	feAdd(&t1, &q.y, &q.x)
-	feMul(&b, &t0, &t1) // B = (Y1+X1)(Y2+X2)
+// projective is the point (X : Y : Z) with x = X/Z, y = Y/Z.
+type projective struct {
+	x, y, z fe
+}
 
-	feMul(&c, &p.t, &q.t)
-	feMul(&c, &c, &d2Const) // C = 2d·T1·T2
+// cached is an addend prepared for repeated use:
+// (Y+X, Y-X, 2Z, 2d·T).
+type cached struct {
+	yPlusX, yMinusX, z2, t2d fe
+}
 
-	feMul(&d, &p.z, &q.z)
-	feAdd(&d, &d, &d) // D = 2·Z1·Z2
+// cachedIdentity is the identity as an addend.
+var cachedIdentity = cached{yPlusX: feOne, yMinusX: feOne, z2: fe{l0: 2}}
 
-	feSub(&e, &b, &a)
-	feSub(&f, &d, &c)
-	feAdd(&g, &d, &c)
-	feAdd(&h, &b, &a)
+// fromPoint sets v to p's projective part.
+func (v *projective) fromPoint(p *Point) {
+	v.x, v.y, v.z = p.x, p.y, p.z
+}
 
-	feMul(&v.x, &e, &f)
-	feMul(&v.y, &g, &h)
-	feMul(&v.t, &e, &h)
-	feMul(&v.z, &f, &g)
+// fromCompleted sets v to the projective form of c (3 M).
+func (v *projective) fromCompleted(c *completed) {
+	feMul(&v.x, &c.x, &c.t)
+	feMul(&v.y, &c.y, &c.z)
+	feMul(&v.z, &c.z, &c.t)
+}
+
+// fromCompleted sets v to the extended form of c (4 M).
+func (v *Point) fromCompleted(c *completed) {
+	feMul(&v.x, &c.x, &c.t)
+	feMul(&v.y, &c.y, &c.z)
+	feMul(&v.z, &c.z, &c.t)
+	feMul(&v.t, &c.x, &c.y)
+}
+
+// fromPoint sets v to p prepared as an addend (1 M).
+func (v *cached) fromPoint(p *Point) {
+	feAdd(&v.yPlusX, &p.y, &p.x)
+	feSub(&v.yMinusX, &p.y, &p.x)
+	feAdd(&v.z2, &p.z, &p.z)
+	feMul(&v.t2d, &p.t, &d2Const)
+}
+
+// double sets v = 2p (dbl-2008-hwcd, a = -1: 4 S).
+func (v *completed) double(p *projective) {
+	var xx, yy, zz2, xPlusYSq fe
+	feSquare(&xx, &p.x)
+	feSquare(&yy, &p.y)
+	feSquare(&zz2, &p.z)
+	feAdd(&zz2, &zz2, &zz2) // 2Z²
+	feAdd(&xPlusYSq, &p.x, &p.y)
+	feSquare(&xPlusYSq, &xPlusYSq)
+
+	feAdd(&v.y, &yy, &xx)
+	feSub(&v.z, &yy, &xx)
+	feSub(&v.x, &xPlusYSq, &v.y) // 2XY
+	feSub(&v.t, &zz2, &v.z)
+}
+
+// add sets v = p + q using the complete a = -1 extended-coordinate
+// addition (add-2008-hwcd-3: 4 M against a cached addend).
+func (v *completed) add(p *Point, q *cached) {
+	var yPlusX, yMinusX, pp, mm, tt2d, zz2 fe
+	feAdd(&yPlusX, &p.y, &p.x)
+	feSub(&yMinusX, &p.y, &p.x)
+	feMul(&pp, &yPlusX, &q.yPlusX)
+	feMul(&mm, &yMinusX, &q.yMinusX)
+	feMul(&tt2d, &p.t, &q.t2d)
+	feMul(&zz2, &p.z, &q.z2)
+
+	feSub(&v.x, &pp, &mm)
+	feAdd(&v.y, &pp, &mm)
+	feAdd(&v.z, &zz2, &tt2d)
+	feSub(&v.t, &zz2, &tt2d)
 }
 
 // double sets v = 2p.
 func (v *Point) double(p *Point) {
-	var xx, yy, b, a, e, yPlus, yMinus, tt fe
+	var r projective
+	var c completed
+	r.fromPoint(p)
+	c.double(&r)
+	v.fromCompleted(&c)
+}
 
-	feSquare(&xx, &p.x)
-	feSquare(&yy, &p.y)
-	feSquare(&b, &p.z)
-	feAdd(&b, &b, &b) // 2Z²
-
-	feAdd(&a, &p.x, &p.y)
-	feSquare(&a, &a) // (X+Y)²
-	feAdd(&yPlus, &yy, &xx)
-	feSub(&yMinus, &yy, &xx)
-	feSub(&e, &a, &yPlus) // 2XY
-	feSub(&tt, &b, &yMinus)
-
-	feMul(&v.x, &e, &tt)
-	feMul(&v.y, &yPlus, &yMinus)
-	feMul(&v.z, &yMinus, &tt)
-	feMul(&v.t, &e, &yPlus)
+// add sets v = p + q.
+func (v *Point) add(p, q *Point) {
+	var qc cached
+	var c completed
+	qc.fromPoint(q)
+	c.add(p, &qc)
+	v.fromCompleted(&c)
 }
 
 // Add returns p + q.
@@ -135,36 +188,115 @@ func (p *Point) IsIdentity() bool {
 // elements: they are not outputs of the hash-to-curve map and a
 // torsion component would make f_e lose information.
 func (p *Point) IsSmallOrder() bool {
+	var r projective
+	r.fromPoint(p)
 	var v Point
-	v.double(p)
-	v.double(&v)
-	v.double(&v)
+	v.mulByCofactor(r)
 	return v.IsIdentity()
 }
 
+// mulByCofactor sets v = 8r: three doublings, only the last of which
+// computes T.
+func (v *Point) mulByCofactor(r projective) {
+	var c completed
+	c.double(&r)
+	r.fromCompleted(&c)
+	c.double(&r)
+	r.fromCompleted(&c)
+	c.double(&r)
+	v.fromCompleted(&c)
+}
+
 // ScalarMult returns e·p, with the scalar given as 32 big-endian
-// bytes.  Fixed 4-bit windows over a 15-entry table; every window adds
-// through the complete formulas (the zero window adds the identity),
-// so the sequence of point operations does not depend on scalar bits.
-// One call is the EC backend's C_e operation.
+// bytes.  The scalar is recoded into 64 signed radix-16 digits in
+// [-8, 7] plus a top digit in {0, 1}; each digit selects |d|·p from a
+// 9-entry cached table by a full masked scan and negates it by a
+// masked swap, and every digit costs four doublings and one complete
+// addition (a zero digit adds the identity), so the sequence of point
+// operations does not depend on scalar bits.  One call is the EC
+// backend's C_e operation.
 func (p *Point) ScalarMult(e *[32]byte) *Point {
-	var table [16]Point
-	table[0] = identity
-	table[1] = *p
-	for i := 2; i < 16; i++ {
-		table[i].add(&table[i-1], p)
+	// table[i] = i·p for i = 0..8.
+	var table [9]cached
+	table[0] = cachedIdentity
+	table[1].fromPoint(p)
+	var multiple Point
+	multiple.double(p)
+	table[2].fromPoint(&multiple)
+	for i := 3; i < 9; i++ {
+		var c completed
+		c.add(&multiple, &table[1])
+		multiple.fromCompleted(&c)
+		table[i].fromPoint(&multiple)
 	}
-	v := identity
-	for _, by := range e {
-		for _, nib := range [2]uint8{by >> 4, by & 15} {
-			v.double(&v)
-			v.double(&v)
-			v.double(&v)
-			v.double(&v)
-			v.add(&v, &table[nib])
-		}
+
+	digits := recodeSigned16(e)
+	var (
+		v   = identity
+		r   projective
+		c   completed
+		sel cached
+	)
+	sel.selectSigned(&table, digits[64])
+	c.add(&v, &sel)
+	for i := 63; i >= 0; i-- {
+		r.fromCompleted(&c)
+		c.double(&r)
+		r.fromCompleted(&c)
+		c.double(&r)
+		r.fromCompleted(&c)
+		c.double(&r)
+		r.fromCompleted(&c)
+		c.double(&r)
+		v.fromCompleted(&c)
+		sel.selectSigned(&table, digits[i])
+		c.add(&v, &sel)
 	}
+	v.fromCompleted(&c)
 	return &v
+}
+
+// recodeSigned16 rewrites the big-endian scalar e as
+// Σ d[i]·16^i with d[0..63] ∈ [-8, 7] and d[64] ∈ {0, 1}, carrying
+// branch-free from the low nibble up.
+func recodeSigned16(e *[32]byte) [65]int8 {
+	var d [65]int8
+	for i := 0; i < 32; i++ {
+		b := e[31-i]
+		d[2*i] = int8(b & 15)
+		d[2*i+1] = int8(b >> 4)
+	}
+	var carry int8
+	for i := 0; i < 64; i++ {
+		d[i] += carry
+		carry = (d[i] + 8) >> 4
+		d[i] -= carry << 4
+	}
+	d[64] = carry
+	return d
+}
+
+// selectSigned sets v = d·p from table[i] = i·p, |d| ≤ 8, reading
+// every entry and applying the sign by masked swap and select.
+func (v *cached) selectSigned(table *[9]cached, d int8) {
+	neg := d >> 7          // 0 or -1
+	abs := (d ^ neg) - neg // |d|
+	*v = table[0]
+	for i := 1; i < 9; i++ {
+		eq := subtle.ConstantTimeByteEq(uint8(i), uint8(abs)) == 1
+		feSelect(&v.yPlusX, &table[i].yPlusX, &v.yPlusX, eq)
+		feSelect(&v.yMinusX, &table[i].yMinusX, &v.yMinusX, eq)
+		feSelect(&v.z2, &table[i].z2, &v.z2, eq)
+		feSelect(&v.t2d, &table[i].t2d, &v.t2d, eq)
+	}
+	// -(Y+X, Y-X, 2Z, 2dT) = (Y-X, Y+X, 2Z, -2dT).
+	isNeg := neg != 0
+	yPlusX, yMinusX := v.yPlusX, v.yMinusX
+	feSelect(&v.yPlusX, &yMinusX, &yPlusX, isNeg)
+	feSelect(&v.yMinusX, &yPlusX, &yMinusX, isNeg)
+	var negT fe
+	feNeg(&negT, &v.t2d)
+	feSelect(&v.t2d, &negT, &v.t2d, isNeg)
 }
 
 // Encode appends the canonical 32-byte compressed encoding of p to
@@ -233,33 +365,37 @@ func Decode(b []byte) (*Point, error) {
 // feSqrtRatio sets r to the non-negative square root of u/v and
 // reports whether u/v was square.  Division by zero yields zero, so
 // (0, v) gives (0, true) and (u≠0, 0) gives (0, false) — the
-// conventions the Elligator map and Decode rely on.  Uses the
-// p ≡ 5 (mod 8) shortcut: candidate u·v³·(u·v⁷)^((p-5)/8), fixed up
-// by √-1 when the check lands on -u.
+// conventions Decode relies on.  Uses the p ≡ 5 (mod 8) shortcut: the
+// candidate of sqrtRatioCandidate, fixed up by √-1 when the check
+// lands on -u.
 func feSqrtRatio(r, u, v *fe) bool {
-	var v2, v3, v7, uv7, cand, check, negU fe
-	feSquare(&v2, v)
-	feMul(&v3, &v2, v)
-	feSquare(&v7, &v3)
-	feMul(&v7, &v7, v)
-	feMul(&uv7, u, &v7)
-	fePow(&cand, &uv7, expPMinus5Over8)
-	feMul(&cand, &cand, u)
-	feMul(&cand, &cand, &v3)
-
+	var cand, check, negU, alt fe
+	sqrtRatioCandidate(&cand, u, v)
 	feSquare(&check, &cand)
 	feMul(&check, &check, v) // v·cand²
 	feNeg(&negU, u)
+	direct := feEqual(&check, u)
+	flipped := feEqual(&check, &negU)
 
-	switch {
-	case feEqual(&check, u):
-		// cand is already a root.
-	case feEqual(&check, &negU):
-		feMul(&cand, &cand, &sqrtM1Const)
-	default:
-		*r = feZero
-		return false
-	}
+	feMul(&alt, &cand, &sqrtM1Const)
+	feSelect(&cand, &alt, &cand, flipped && !direct)
+	isSquare := direct || flipped
+	feSelect(&cand, &cand, &feZero, isSquare)
 	feAbs(r, &cand)
-	return true
+	return isSquare
+}
+
+// sqrtRatioCandidate sets cand = u·v³·(u·v⁷)^((p-5)/8).  When u/v is
+// square, v·cand² is u or -u; when it is not, v·cand² is ±√-1·u.
+// One exponentiation.
+func sqrtRatioCandidate(cand, u, v *fe) {
+	var v3, uv7 fe
+	feSquare(&v3, v)
+	feMul(&v3, &v3, v) // v³
+	feSquare(&uv7, &v3)
+	feMul(&uv7, &uv7, v)
+	feMul(&uv7, &uv7, u) // u·v⁷
+	fePow22523(cand, &uv7)
+	feMul(cand, cand, u)
+	feMul(cand, cand, &v3)
 }

@@ -2,8 +2,10 @@ package party
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -408,6 +410,73 @@ func TestSaturationRejectsExplicitly(t *testing.T) {
 	<-holding
 	if _, err := client.IntersectSize(ctx, [][]byte{[]byte("a")}); err != nil {
 		t.Fatalf("session after slot freed failed: %v", err)
+	}
+}
+
+// TestSaturationRejectReadsNothing: over TCP, refusing a session beyond
+// MaxSessions costs the server one small Send and nothing more.  A
+// rejectee whose opening frame declares MaxFrameLen bytes must not make
+// the server allocate for it, nor hold the connection open waiting for
+// the body.
+func TestSaturationRejectReadsNothing(t *testing.T) {
+	srv := testServer(Policy{})
+	srv.Obs = obs.NewRegistry()
+	srv.MaxSessions = 1
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-served
+	}()
+
+	// The holder takes the only slot and never speaks.
+	holder, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.inFlight.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("holder session never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rejectee, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rejectee.Close()
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], transport.MaxFrameLen)
+	if _, err := rejectee.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	// The server hangs up at once instead of waiting out its 2 s send
+	// allowance for a body that never comes.
+	start := time.Now()
+	_ = rejectee.SetReadDeadline(start.Add(5 * time.Second))
+	_, _ = io.Copy(io.Discard, rejectee)
+	if waited := time.Since(start); waited > time.Second {
+		t.Errorf("server held the rejected connection %v", waited)
+	}
+	for srv.Obs.Lifecycle().Snapshot().SaturationRejects != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("rejection never recorded")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("server allocated %d bytes refusing a session", grew)
 	}
 }
 

@@ -38,14 +38,31 @@ func pipeClient(t *testing.T, srv *Server) *Client {
 	cfg := core.Config{Group: group.TestGroup()}
 	return NewClientConnFunc(cfg, func(ctx context.Context) (transport.Conn, error) {
 		cConn, sConn := transport.Pipe()
+		done := make(chan struct{})
 		go func() {
+			defer close(done)
 			defer sConn.Close()
 			if err := srv.HandleConn(ctx, "test-peer", sConn); err != nil {
 				t.Logf("server: %v", err)
 			}
 		}()
-		return cConn, nil
+		return &joinConn{Conn: cConn, server: done}, nil
 	})
+}
+
+// joinConn is the client end of a pipe whose Close also waits for the
+// server goroutine to return.  The client closes its conn before a call
+// returns, so by then the server has recorded the session (obs, audit
+// trail, logs) and logs nothing into a finished test.
+type joinConn struct {
+	transport.Conn
+	server <-chan struct{}
+}
+
+func (c *joinConn) Close() error {
+	err := c.Conn.Close()
+	<-c.server
+	return err
 }
 
 func TestServerAnswersAllProtocols(t *testing.T) {
