@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-faults docs-check docs-drift lint lint-fix-audit check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke experiments
+.PHONY: all build test vet race race-faults stress docs-check docs-drift lint lint-fix-audit check bench bench-pipeline bench-cache bench-obs bench-obs-smoke bench-group bench-group-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke experiments
 
 all: check
 
@@ -34,6 +34,16 @@ race-faults:
 	$(GO) test -race -timeout 120s \
 		-run 'Stalled|Staller|AcceptError|Drain|Saturation|Timeout|Retry|Retries|Cancellation' \
 		./internal/party ./internal/transport ./internal/core ./internal/commutative
+
+# Repetition stress, not part of check: the core shard and standing
+# suites, the whole party package (session lifecycle, standing and
+# sharded serving) and the transport.Mux suite, twenty runs each under
+# the race detector, so a rare ordering flake shows up locally instead
+# of as an intermittent check failure.
+stress:
+	$(GO) test -race -count=20 -timeout 30m -run 'Shard|Standing' ./internal/core
+	$(GO) test -race -count=20 -timeout 30m ./internal/party
+	$(GO) test -race -count=20 -timeout 10m -run Mux ./internal/transport
 
 # Documentation lint: every exported identifier in internal/* must have
 # a doc comment (field-deep in group/ec25519/transport), every
@@ -80,21 +90,18 @@ bench-obs-smoke:
 # Group-backend benchmark (the BENCH_PR7.json numbers): the same
 # protocols end to end over each commutative-encryption backend —
 # qr1024 (the paper's parameters) vs ec25519 — plus the per-operation
-# C_e and hash-to-element costs, the Montgomery-vs-big.Int modexp
-# comparison that certifies the fixed-width gate, and the ec25519
+# C_e and hash-to-element costs and the ec25519
 # kernel microbenchmarks (field mul/square/invert, MapToPoint,
 # ScalarMult, Decode, Encode).
 bench-group:
 	$(GO) test -run xxx -bench GroupBackend -benchtime 3x .
-	$(GO) test -run xxx -bench MontVsBigExp -benchtime 50x ./internal/group
 	$(GO) test -run xxx -bench . ./internal/ec25519
 
 # Short-mode smoke of the backend benches (tiny sets, one iteration):
-# a regression that breaks a backend's protocol path, the Montgomery
-# ladder or an ec25519 kernel fails check.
+# a regression that breaks a backend's protocol path or an ec25519
+# kernel fails check.
 bench-group-smoke:
 	$(GO) test -short -run xxx -bench GroupBackend -benchtime 1x .
-	$(GO) test -run xxx -bench MontVsBigExp -benchtime 1x ./internal/group
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/ec25519
 
 # Shard-parallel benchmark (the BENCH_PR8.json numbers): the same

@@ -7,9 +7,7 @@ package minshare
 // Curve25519 backend delivers ≥ the security of the 1024-bit safe-prime
 // group (~128-bit vs ~80-bit) at a fraction of the per-operation cost,
 // so whole protocol runs speed up by the same factor the paper predicts
-// from the C_e ratio.  The Montgomery fixed-width ladder that
-// accelerates the safe-prime backend itself is measured per-operation
-// by BenchmarkMontVsBigExp in internal/group.
+// from the C_e ratio.
 
 import (
 	"context"

@@ -238,7 +238,7 @@ func leakDeclassified(f *types.Func) bool {
 	}
 	if p, r, ok := recvNamed(f); ok && p == corePath {
 		switch r {
-		case "StandingIntersection", "StandingJoin":
+		case "Standing":
 			return true
 		}
 	}

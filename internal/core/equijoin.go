@@ -52,15 +52,40 @@ type JoinResult struct {
 //	     entry and decrypt ext(v) with κ(v) = f_e'S(h(v))
 //	8.   return the matches (the caller computes T_S ⋈ T_R from them)
 func EquijoinReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinResult, error) {
+	vR := dedup(values)
 	if cfg.Shards > 1 {
-		return shardedEquijoinReceiver(ctx, cfg, conn, values)
+		results, peerTotal, peerVersion, err := runSharded(ctx, cfg, conn, wire.ProtoEquijoin, true, vR, vR,
+			EquijoinReceiver, func(r *JoinResult) int { return r.SenderSetSize })
+		if err != nil {
+			return nil, err
+		}
+		return mergeJoins(vR, results, peerTotal, peerVersion), nil
 	}
 	s := newSession(ctx, cfg, conn)
-	st, err := s.equijoinReceiverRun(ctx, dedup(values))
+	st, err := s.equijoinReceiverRun(ctx, vR)
 	if err != nil {
 		return nil, err
 	}
 	return st.result(s.peerVersion), nil
+}
+
+// mergeJoins merges per-shard joins back into R's input order, like
+// mergeIntersections.
+func mergeJoins(vR [][]byte, results []*JoinResult, peerTotal int, peerVersion uint64) *JoinResult {
+	idx := valueIndex(vR)
+	matched := make([]*JoinMatch, len(vR))
+	for _, r := range results {
+		for j := range r.Matches {
+			matched[idx[string(r.Matches[j].Value)]] = &r.Matches[j]
+		}
+	}
+	res := &JoinResult{SenderSetSize: peerTotal, SenderDataVersion: peerVersion}
+	for _, m := range matched {
+		if m != nil {
+			res.Matches = append(res.Matches, *m)
+		}
+	}
+	return res
 }
 
 // equijoinState is the receiver-side state of one equijoin run that a
@@ -95,62 +120,30 @@ func (st *equijoinState) result(peerVersion uint64) *JoinResult {
 // returns the retained state (the exported entry point derives the
 // result and drops it; the standing variant keeps it live).
 func (s *session) equijoinReceiverRun(ctx context.Context, vR [][]byte) (*equijoinState, error) {
-	peerSize, err := s.handshake(ctx, wire.ProtoEquijoin, len(vR), true)
-	if err != nil {
-		return nil, err
-	}
-
-	// Steps 1-2.
-	sp := obs.StartSpan(ctx, "hash-to-group")
-	xR, err := s.hashSet(vR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	eR, err := s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-	if err != nil {
-		return nil, s.abort(ctx, fmt.Errorf("core: generating e_R: %w", err))
-	}
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	yR, err := s.encryptSet(ctx, eR, xR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-
-	// Step 3: send Y_R sorted, remembering the permutation.
-	sp = obs.StartSpan(ctx, "exchange")
-	order := sortIndicesByElem(yR)
-	sortedYR := make([]*big.Int, len(yR))
-	for pos, idx := range order {
-		sortedYR[pos] = yR[idx]
-	}
-	if err := s.sendElems(ctx, sortedYR); err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Steps 4+6 pipelined: receive ⟨f_eS(y), f_e'S(y)⟩ aligned with
-	// sortedYR (S preserves order instead of echoing y — the Section 6.1
-	// optimization applied to the 3-tuples) and strip R's own layer from
-	// both components chunk by chunk:
+	// Steps 4+6 pipelined: receive ⟨f_eS(y), f_e'S(y)⟩ aligned with the
+	// shipped Y_R (S preserves order instead of echoing y — the Section
+	// 6.1 optimization applied to the 3-tuples) and strip R's own layer
+	// from both components chunk by chunk:
 	// f_eR^{-1}(f_eS(f_eR(h(v)))) = f_eS(h(v)) and likewise for e'_S.
-	singleS, kappas, err := s.recvPairsDecrypt(ctx, eR, len(vR), "f_eS(Y_R)", "f_e'S(Y_R)")
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Step 5 (peer): receive the ⟨f_eS(h(v)), c(v)⟩ pairs, sorted by the
-	// first entry.
-	extElems, extCts, err := s.recvExtPairs(ctx, peerSize, "f_eS(h(V_S))")
-	sp.End()
+	// Then step 5 (peer): receive the ⟨f_eS(h(v)), c(v)⟩ pairs, sorted by
+	// the first entry.
+	var (
+		singleS, kappas, extElems []*big.Int
+		extCts                    [][]byte
+	)
+	ph, err := s.receiverExchange(ctx, wire.ProtoEquijoin, vR, func(ctx context.Context, ph *receiverPhase) (err error) {
+		if singleS, kappas, err = s.recvPairsDecrypt(ctx, ph.eR, len(vR), "f_eS(Y_R)", "f_e'S(Y_R)"); err != nil {
+			return err
+		}
+		extElems, extCts, err = s.recvExtPairs(ctx, ph.peerSize, "f_eS(h(V_S))")
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Step 7: index S's pairs by first entry and match.
-	sp = obs.StartSpan(ctx, "match-join")
+	sp := obs.StartSpan(ctx, "match-join")
 	defer sp.End()
 	ky := s.newKeyer()
 	extByElem := make(map[string][]byte, len(extElems))
@@ -159,7 +152,7 @@ func (s *session) equijoinReceiverRun(ctx context.Context, vR [][]byte) (*equijo
 	}
 	posByKey := make(map[string]int, len(vR))
 	matched := make([]*JoinMatch, len(vR))
-	for pos, idx := range order {
+	for pos, idx := range ph.order {
 		k := ky.key(singleS[pos])
 		posByKey[k] = pos
 		ct, hit := extByElem[k]
@@ -177,13 +170,13 @@ func (s *session) equijoinReceiverRun(ctx context.Context, vR [][]byte) (*equijo
 	}
 	return &equijoinState{
 		vR:        vR,
-		order:     order,
+		order:     ph.order,
 		singleS:   singleS,
 		kappas:    kappas,
 		extByElem: extByElem,
 		matched:   matched,
 		posByKey:  posByKey,
-		peerSize:  peerSize,
+		peerSize:  ph.peerSize,
 		ky:        ky,
 	}, nil
 }
@@ -192,14 +185,20 @@ func (s *session) equijoinReceiverRun(ctx context.Context, vR [][]byte) (*equijo
 // records may repeat a value only with an identical Ext; conflicting
 // duplicates are rejected, since ext(v) is defined per distinct value.
 func EquijoinSender(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return shardedEquijoinSender(ctx, cfg, conn, records)
-	}
-	s := newSession(ctx, cfg, conn)
+	// Dedup (and detect conflicting payloads) before partitioning so the
+	// outer handshake announces |V_S| of the same set the buckets cover.
 	vS, exts, err := dedupRecords(records)
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Shards > 1 {
+		_, peerTotal, _, err := runSharded(ctx, cfg, conn, wire.ProtoEquijoin, false, vS, zipRecords(vS, exts), EquijoinSender, receiverSetSize)
+		if err != nil {
+			return nil, err
+		}
+		return &SenderInfo{ReceiverSetSize: peerTotal}, nil
+	}
+	s := newSession(ctx, cfg, conn)
 	info, _, _, _, _, err := s.equijoinSenderRun(ctx, vS, exts)
 	return info, err
 }
@@ -330,6 +329,16 @@ func (s *session) equijoinSenderRun(ctx context.Context, vS, exts [][]byte) (*Se
 		return nil, nil, nil, nil, nil, err
 	}
 	return &SenderInfo{ReceiverSetSize: peerSize}, eS, ePrimeS, outElems, outExts, nil
+}
+
+// zipRecords zips values with their ext payloads (outside the entry
+// point for the reason given at mergeIntersections).
+func zipRecords(values, exts [][]byte) []JoinRecord {
+	recs := make([]JoinRecord, len(values))
+	for i := range values {
+		recs[i] = JoinRecord{Value: values[i], Ext: exts[i]}
+	}
+	return recs
 }
 
 // dedupRecords splits records into parallel value/ext slices with

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"runtime"
 	"testing"
 	"time"
 
@@ -386,4 +387,64 @@ func TestReceiverAbortsOnStalledSender(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestStreamCountDoesNotPreallocate: a sender that announces
+// MaxVectorLen values and opens a stream of that count, then ends it at
+// once, must cost the receiver no more memory than the frames it sent —
+// StreamBegin.Count is only a claim, checked only against the peer's
+// equally unbounded handshake size.
+func TestStreamCountDoesNotPreallocate(t *testing.T) {
+	const claimed = wire.MaxVectorLen
+	vR := vals("r", 2)
+	for _, proto := range []wire.Protocol{wire.ProtoIntersection, wire.ProtoEquijoin} {
+		t.Run(proto.String(), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			connR, connS := transport.Pipe()
+			defer connR.Close()
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				m := newMalicious(testConfig(2), connS)
+				if m.recv(ctx, t) == nil { // R's header
+					return
+				}
+				h := m.header(claimed)
+				h.Protocol = proto
+				m.send(ctx, t, h)
+				if m.recv(ctx, t) == nil { // Y_R
+					return
+				}
+				inner := wire.KindElements
+				if proto == wire.ProtoEquijoin {
+					// The aligned pair reply comes first; any members do.
+					x := []*big.Int{m.cfg.Oracle.HashString("a"), m.cfg.Oracle.HashString("b")}
+					m.send(ctx, t, wire.Pairs{A: x, B: x})
+					inner = wire.KindExtPairs
+				}
+				m.send(ctx, t, wire.StreamBegin{Inner: inner, Count: claimed})
+				m.send(ctx, t, wire.StreamEnd{})
+			}()
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var err error
+			if proto == wire.ProtoEquijoin {
+				_, err = EquijoinReceiver(ctx, testConfig(1), connR, vR)
+			} else {
+				_, err = IntersectionReceiver(ctx, testConfig(1), connR, vR)
+			}
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrMalformedReply) {
+				t.Fatalf("err = %v, want ErrMalformedReply (short stream)", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("receiver allocated %d bytes for a stream claiming %d entries, want <= 1 MiB", got, claimed)
+			}
+			cancel()
+			<-done
+		})
+	}
 }

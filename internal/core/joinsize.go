@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/big"
 
 	"minshare/internal/obs"
@@ -46,53 +45,33 @@ type JoinSizeSenderInfo struct {
 // duplicates.
 func EquijoinSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeResult, error) {
 	if cfg.Shards > 1 {
-		return shardedEquijoinSizeReceiver(ctx, cfg, conn, values)
+		// Multiset protocol: no dedup — every copy of a value partitions
+		// to the same bucket, so each bucket is the full sub-multiset.
+		results, peerTotal, peerVersion, err := runSharded(ctx, cfg, conn, wire.ProtoEquijoinSize, true, values, values,
+			EquijoinSizeReceiver, func(r *JoinSizeResult) int { return r.SenderMultisetSize })
+		if err != nil {
+			return nil, err
+		}
+		res := &JoinSizeResult{
+			SenderMultisetSize:          peerTotal,
+			SenderDuplicateDistribution: make(map[int]int),
+			SenderDataVersion:           peerVersion,
+		}
+		for _, r := range results {
+			res.JoinSize += r.JoinSize
+			// Distinct values never span shards, so the per-shard
+			// duplicate distributions are disjoint and merge by addition.
+			for d, n := range r.SenderDuplicateDistribution {
+				res.SenderDuplicateDistribution[d] += n
+			}
+		}
+		return res, nil
 	}
 	s := newSession(ctx, cfg, conn)
-
-	peerSize, err := s.handshake(ctx, wire.ProtoEquijoinSize, len(values), true)
-	if err != nil {
-		return nil, err
-	}
-
-	// Steps 1-2 on the multiset: equal values hash (and encrypt) to equal
+	// Steps 1-5 on the multiset: equal values hash (and encrypt) to equal
 	// elements, so S will see T_R.A's duplicate structure — the leak the
-	// paper accepts for this protocol.
-	sp := obs.StartSpan(ctx, "hash-to-group")
-	xR, err := s.hashSet(values)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	eR, err := s.cfg.Scheme.GenerateKey(s.cfg.Rand)
-	if err != nil {
-		return nil, s.abort(ctx, fmt.Errorf("core: generating e_R: %w", err))
-	}
-	sp = obs.StartSpan(ctx, "bulk-encrypt")
-	yR, err := s.encryptSet(ctx, eR, xR)
-	sp.End()
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-
-	// Step 3: send Y_R sorted.
-	sp = obs.StartSpan(ctx, "exchange")
-	if err := s.sendElems(ctx, sortedCopy(yR)); err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Steps 4(a)+5 pipelined: receive Y_S (multiset) sorted and compute
-	// Z_S = f_eR(Y_S) chunk by chunk.
-	yS, zS, err := s.recvReencryptStream(ctx, eR, peerSize, "Y_S", true)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// Step 4(b): receive Z_R sorted.
-	zR, err := s.recvElems(ctx, len(values), "Z_R", true)
-	sp.End()
+	// paper accepts for this protocol.  Step 4(b) brings Z_R sorted.
+	ph, err := s.setReceiverExchange(ctx, wire.ProtoEquijoinSize, values, "Z_R", true)
 	if err != nil {
 		return nil, err
 	}
@@ -100,11 +79,11 @@ func EquijoinSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, 
 	// Step 6 (modified per Section 5.2): join size instead of
 	// intersection size — Σ over distinct doubly-encrypted values of
 	// count_R · count_S.
-	sp = obs.StartSpan(ctx, "match")
+	sp := obs.StartSpan(ctx, "match")
 	defer sp.End()
 	ky := s.newKeyer()
-	countR := multisetCountsKeyed(zR, ky)
-	countS := multisetCountsKeyed(zS, ky)
+	countR := multisetCountsKeyed(ph.reply, ky)
+	countS := multisetCountsKeyed(ph.zS, ky)
 	join := 0
 	for k, cR := range countR {
 		join += cR * countS[k]
@@ -112,8 +91,8 @@ func EquijoinSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, 
 
 	return &JoinSizeResult{
 		JoinSize:                    join,
-		SenderMultisetSize:          peerSize,
-		SenderDuplicateDistribution: DuplicateDistributionElems(yS),
+		SenderMultisetSize:          ph.peerSize,
+		SenderDuplicateDistribution: DuplicateDistributionElems(ph.yS),
 		SenderDataVersion:           s.peerVersion,
 	}, nil
 }
@@ -122,57 +101,29 @@ func EquijoinSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, 
 // Section 5.2.  values is T_S.A *with* duplicates.
 func EquijoinSizeSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeSenderInfo, error) {
 	if cfg.Shards > 1 {
-		return shardedEquijoinSizeSender(ctx, cfg, conn, values)
+		results, peerTotal, _, err := runSharded(ctx, cfg, conn, wire.ProtoEquijoinSize, false, values, values,
+			EquijoinSizeSender, func(r *JoinSizeSenderInfo) int { return r.ReceiverMultisetSize })
+		if err != nil {
+			return nil, err
+		}
+		info := &JoinSizeSenderInfo{
+			ReceiverMultisetSize:          peerTotal,
+			ReceiverDuplicateDistribution: make(map[int]int),
+		}
+		for _, r := range results {
+			for d, n := range r.ReceiverDuplicateDistribution {
+				info.ReceiverDuplicateDistribution[d] += n
+			}
+		}
+		return info, nil
 	}
-	s := newSession(ctx, cfg, conn)
-
-	peerSize, err := s.handshake(ctx, wire.ProtoEquijoinSize, len(values), false)
+	ph, err := sizeSender(ctx, cfg, conn, wire.ProtoEquijoinSize, values)
 	if err != nil {
 		return nil, err
 	}
-
-	// Steps 1-2 on the multiset — replayed from the encrypted-set cache
-	// when this peer has queried this table version before.  The cache
-	// slot is per-protocol, so the multiset state never aliases the
-	// deduplicated state of the set protocols.
-	eS, sortedYS, err := s.ownEncryptedSet(ctx, values)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 3 (peer) + step 4(a): receive Y_R (multiset) and ship Y_S
-	// sorted, full-duplex in streaming mode.
-	sp := obs.StartSpan(ctx, "exchange")
-	var yR []*big.Int
-	err = s.duplex(ctx, true,
-		func(ctx context.Context) error { return s.sendElems(ctx, sortedYS) },
-		func(ctx context.Context) error {
-			var rerr error
-			yR, rerr = s.recvElems(ctx, peerSize, "Y_R", true)
-			return rerr
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 4(b): ship Z_R sorted.  Sorting needs the complete vector,
-	// so only the send itself streams.
-	sp = obs.StartSpan(ctx, "re-encrypt")
-	zR, err := s.encryptSet(ctx, eS, yR)
-	if err != nil {
-		sp.End()
-		return nil, s.abort(ctx, err)
-	}
-	err = s.sendElems(ctx, sortedCopy(zR))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
 	return &JoinSizeSenderInfo{
-		ReceiverMultisetSize:          peerSize,
-		ReceiverDuplicateDistribution: DuplicateDistributionElems(yR),
+		ReceiverMultisetSize:          ph.peerSize,
+		ReceiverDuplicateDistribution: DuplicateDistributionElems(ph.yR),
 	}, nil
 }
 

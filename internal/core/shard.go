@@ -202,289 +202,54 @@ func valueIndex(vs [][]byte) map[string]int {
 	return idx
 }
 
-// --- Intersection ---
-
-func shardedIntersectionReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*IntersectionResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
+// runSharded is the one shard coordinator behind every protocol's
+// Shards > 1 mode.  It validates the shard count, runs the outer
+// handshake for proto on the raw conn (the receiver role sends first),
+// starts the mux, partitions values into buckets and hands bucket i —
+// the inputs at the same indices, so equijoin records travel with their
+// values — to run over shard i, and checks the peer's per-shard sizes
+// (peerSize of each sub-result) against its announced total.  The
+// caller merges the k results; peerTotal and peerVersion are the outer
+// handshake's.  values is what the partitioner hashes: the same
+// (deduplicated, or multiset) slice the unsharded protocol would run
+// on, aligned index for index with inputs.
+func runSharded[In, R any](ctx context.Context, cfg Config, conn transport.Conn, proto wire.Protocol, receiver bool,
+	values [][]byte, inputs []In,
+	run func(context.Context, Config, transport.Conn, []In) (R, error),
+	peerSize func(R) int,
+) (results []R, peerTotal int, peerVersion uint64, err error) {
+	k := cfg.Shards
+	if err := checkShardCount(k); err != nil {
+		return nil, 0, 0, err
 	}
 	outer := newSession(ctx, cfg, conn)
-	vR := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoIntersection, len(vR), true, conn)
+	peerTotal, mux, err := shardSession(ctx, outer, proto, len(values), receiver, conn)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vR, cfg.Shards)
+	_, indices := outer.shardPartition(values, k)
 	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*IntersectionResult, error) {
-		return IntersectionReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
+	results, err = shardFanout(ctx, k, func(ctx context.Context, i int) (R, error) {
+		bucket := make([]In, len(indices[i]))
+		for j, x := range indices[i] {
+			bucket[j] = inputs[x]
+		}
+		return run(ctx, shardConfig(base, i, k), mux.Shard(i), bucket)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	sizes := make([]int, len(results))
+	sizes := make([]int, k)
 	for i, r := range results {
-		sizes[i] = r.SenderSetSize
+		sizes[i] = peerSize(r)
 	}
 	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-
-	// Merge back into R's input order: buckets partition vR, so each
-	// match names a unique input position.
-	idx := valueIndex(vR)
-	matched := make([]bool, len(vR))
-	for _, r := range results {
-		for _, v := range r.Values {
-			matched[idx[string(v)]] = true
-		}
-	}
-	res := &IntersectionResult{SenderSetSize: peerTotal, SenderDataVersion: outer.peerVersion}
-	for i, v := range vR {
-		if matched[i] {
-			res.Values = append(res.Values, v)
-		}
-	}
-	return res, nil
+	return results, peerTotal, outer.peerVersion, nil
 }
 
-func shardedIntersectionSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	return shardedSetSender(ctx, cfg, conn, values, wire.ProtoIntersection, IntersectionSender)
-}
-
-// shardedSetSender is the shared sender-side coordinator for the three
-// protocols whose sender learns only |V_R|: partition the (deduplicated)
-// own set, fan out, and verify the peer's per-shard sizes against its
-// announced total.
-func shardedSetSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte, proto wire.Protocol, sender func(context.Context, Config, transport.Conn, [][]byte) (*SenderInfo, error)) (*SenderInfo, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	vS := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, proto, len(vS), false, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vS, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*SenderInfo, error) {
-		return sender(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	for i, r := range results {
-		sizes[i] = r.ReceiverSetSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return &SenderInfo{ReceiverSetSize: peerTotal}, nil
-}
-
-// --- Intersection size ---
-
-func shardedIntersectionSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SizeResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	vR := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoIntersectionSize, len(vR), true, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vR, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*SizeResult, error) {
-		return IntersectionSizeReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	size := 0
-	for i, r := range results {
-		sizes[i] = r.SenderSetSize
-		size += r.IntersectionSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return &SizeResult{IntersectionSize: size, SenderSetSize: peerTotal, SenderDataVersion: outer.peerVersion}, nil
-}
-
-func shardedIntersectionSizeSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	return shardedSetSender(ctx, cfg, conn, values, wire.ProtoIntersectionSize, IntersectionSizeSender)
-}
-
-// --- Equijoin ---
-
-func shardedEquijoinReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	vR := dedup(values)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoin, len(vR), true, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(vR, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*JoinResult, error) {
-		return EquijoinReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	for i, r := range results {
-		sizes[i] = r.SenderSetSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-
-	idx := valueIndex(vR)
-	matched := make([]*JoinMatch, len(vR))
-	for _, r := range results {
-		for j := range r.Matches {
-			m := r.Matches[j]
-			matched[idx[string(m.Value)]] = &m
-		}
-	}
-	res := &JoinResult{SenderSetSize: peerTotal, SenderDataVersion: outer.peerVersion}
-	for _, m := range matched {
-		if m != nil {
-			res.Matches = append(res.Matches, *m)
-		}
-	}
-	return res, nil
-}
-
-func shardedEquijoinSender(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	// Dedup (and detect conflicting payloads) before partitioning so the
-	// outer handshake announces |V_S| of the same set the buckets cover.
-	vS, exts, err := dedupRecords(records)
-	if err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoin, len(vS), false, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, indices := outer.shardPartition(vS, cfg.Shards)
-	recBuckets := make([][]JoinRecord, cfg.Shards)
-	for sh := range buckets {
-		recs := make([]JoinRecord, len(buckets[sh]))
-		for j, i := range indices[sh] {
-			recs[j] = JoinRecord{Value: vS[i], Ext: exts[i]}
-		}
-		recBuckets[sh] = recs
-	}
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*SenderInfo, error) {
-		return EquijoinSender(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), recBuckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	for i, r := range results {
-		sizes[i] = r.ReceiverSetSize
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return &SenderInfo{ReceiverSetSize: peerTotal}, nil
-}
-
-// --- Equijoin size (multisets) ---
-
-func shardedEquijoinSizeReceiver(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeResult, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	// Multiset protocol: no dedup — every copy of a value partitions to
-	// the same bucket, so each bucket is the full sub-multiset.
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoinSize, len(values), true, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(values, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*JoinSizeResult, error) {
-		return EquijoinSizeReceiver(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	res := &JoinSizeResult{
-		SenderMultisetSize:          peerTotal,
-		SenderDuplicateDistribution: make(map[int]int),
-		SenderDataVersion:           outer.peerVersion,
-	}
-	for i, r := range results {
-		sizes[i] = r.SenderMultisetSize
-		res.JoinSize += r.JoinSize
-		// Distinct values never span shards, so the per-shard duplicate
-		// distributions are disjoint and merge by addition.
-		for d, n := range r.SenderDuplicateDistribution {
-			res.SenderDuplicateDistribution[d] += n
-		}
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func shardedEquijoinSizeSender(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*JoinSizeSenderInfo, error) {
-	if err := checkShardCount(cfg.Shards); err != nil {
-		return nil, err
-	}
-	outer := newSession(ctx, cfg, conn)
-	peerTotal, mux, err := shardSession(ctx, outer, wire.ProtoEquijoinSize, len(values), false, conn)
-	if err != nil {
-		return nil, err
-	}
-	defer mux.Stop()
-	buckets, _ := outer.shardPartition(values, cfg.Shards)
-	base := shardBaseConfig(cfg)
-	results, err := shardFanout(ctx, cfg.Shards, func(ctx context.Context, i int) (*JoinSizeSenderInfo, error) {
-		return EquijoinSizeSender(ctx, shardConfig(base, i, cfg.Shards), mux.Shard(i), buckets[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(results))
-	info := &JoinSizeSenderInfo{
-		ReceiverMultisetSize:          peerTotal,
-		ReceiverDuplicateDistribution: make(map[int]int),
-	}
-	for i, r := range results {
-		sizes[i] = r.ReceiverMultisetSize
-		for d, n := range r.ReceiverDuplicateDistribution {
-			info.ReceiverDuplicateDistribution[d] += n
-		}
-	}
-	if err := checkShardSizeSum(sizes, peerTotal); err != nil {
-		return nil, err
-	}
-	return info, nil
-}
+// receiverSetSize is the peer-size accessor of the senders whose info
+// is only |V_R|.
+func receiverSetSize(info *SenderInfo) int { return info.ReceiverSetSize }

@@ -25,20 +25,40 @@ var ErrSubscriptionEnded = errors.New("core: subscription ended")
 // re-run the protocol instead.
 var errStandingSharded = errors.New("core: standing queries require an unsharded session (Shards <= 1)")
 
-// StandingIntersection is party R's half of a standing intersection
-// query (the subscription variant of Section 3.3): after the base run,
-// R retains its session state — e_R, the sorted permutation, its own
-// double encryptions, and the Z_S membership set — and folds each
-// SubUpdate the sender pushes into the result for O(churn)
-// exponentiations instead of an O(|V_S|+|V_R|) re-run.
+// Standing is party R's half of a standing query — the subscription
+// variant of the intersection (Section 3.3) or the equijoin (Section
+// 4.3): after the base run, R retains its session state and folds each
+// SubUpdate the sender pushes into the result for O(churn) work instead
+// of an O(|V_S|+|V_R|) re-run.  R is the protocol's result type.
 //
-// A StandingIntersection is not safe for concurrent use.
-type StandingIntersection struct {
+// A Standing query is not safe for concurrent use.
+type Standing[R any] struct {
 	s       *session
-	st      *intersectionState
-	res     *IntersectionResult
+	st      retained[R]
+	res     R
 	version uint64
 	closed  bool
+}
+
+// retained is the receiver state a standing query keeps live.  fold
+// applies one pushed update whose span and elements Await has already
+// validated — the HasExt rule is the protocol's own — and reports a
+// malformed update as an error; result derives the current answer.
+type retained[R any] interface {
+	fold(ctx context.Context, s *session, u wire.SubUpdate) error
+	result(peerVersion uint64) R
+}
+
+// subscribe turns a finished base run into a standing query: it records
+// the base result and asks the sender for deltas from the version the
+// handshake announced.
+func subscribe[R any](ctx context.Context, s *session, st retained[R]) (*Standing[R], error) {
+	q := &Standing[R]{s: s, st: st, version: s.peerVersion}
+	q.res = st.result(q.version)
+	if err := s.send(ctx, wire.Subscribe{FromVersion: q.version}); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // IntersectionReceiverStanding runs party R of the intersection
@@ -46,7 +66,7 @@ type StandingIntersection struct {
 // sender's deltas instead of hanging up.  The sender must be a standing
 // sender (IntersectionSenderStanding); against a plain sender the
 // subscribe frame dies with the connection and Await fails.
-func IntersectionReceiverStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*StandingIntersection, error) {
+func IntersectionReceiverStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*Standing[*IntersectionResult], error) {
 	if cfg.Shards > 1 {
 		return nil, errStandingSharded
 	}
@@ -55,109 +75,181 @@ func IntersectionReceiverStanding(ctx context.Context, cfg Config, conn transpor
 	if err != nil {
 		return nil, err
 	}
-	q := &StandingIntersection{s: s, st: st, version: s.peerVersion}
-	q.res = st.result(q.version)
-	if err := s.send(ctx, wire.Subscribe{FromVersion: q.version}); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return subscribe[*IntersectionResult](ctx, s, st)
 }
 
-// Result returns the intersection as of the last applied update (the
-// base run's result before the first Await).
-func (q *StandingIntersection) Result() *IntersectionResult { return q.res }
-
-// Version returns the sender data version the current result reflects.
-func (q *StandingIntersection) Version() uint64 { return q.version }
-
-// Await blocks for the next pushed update, folds it into the retained
-// state, acknowledges it, and returns the refreshed result.  It returns
-// ErrSubscriptionEnded when the sender closes the subscription.
-//
-// Per update the receiver performs exactly (nIns+nDel) encryptions —
-// stripping nothing, adding its e_R layer to each pushed f_eS(h(v)) so
-// it lands in the double-encrypted domain of the retained Z_S set —
-// and no oracle hashes (costmodel.IntersectionUpdateOps).
-func (q *StandingIntersection) Await(ctx context.Context) (*IntersectionResult, error) {
-	if q.closed {
-		return nil, ErrSubscriptionEnded
+// EquijoinReceiverStanding runs party R of the equijoin protocol
+// exactly as EquijoinReceiver does, then subscribes to the sender's
+// deltas.  The sender must be EquijoinSenderStanding.
+func EquijoinReceiverStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*Standing[*JoinResult], error) {
+	if cfg.Shards > 1 {
+		return nil, errStandingSharded
 	}
-	m, err := q.s.recvAny(ctx, wire.KindSubUpdate, wire.KindSubEnd)
+	s := newSession(ctx, cfg, conn)
+	st, err := s.equijoinReceiverRun(ctx, dedup(values))
 	if err != nil {
 		return nil, err
 	}
+	return subscribe[*JoinResult](ctx, s, st)
+}
+
+// Result returns the answer as of the last applied update (the base
+// run's result before the first Await).
+func (q *Standing[R]) Result() R { return q.res }
+
+// Version returns the sender data version the current result reflects.
+func (q *Standing[R]) Version() uint64 { return q.version }
+
+// Await blocks for the next pushed update, folds it into the retained
+// state, acknowledges it, and returns the refreshed result.  It returns
+// ErrSubscriptionEnded when the sender closes the subscription.  A
+// malformed update — one that does not continue from the current
+// version, carries non-member or unsorted elements, or that the
+// retained state cannot absorb — aborts the session with
+// ErrMalformedReply and tells the peer why.
+func (q *Standing[R]) Await(ctx context.Context) (R, error) {
+	var zero R
+	if q.closed {
+		return zero, ErrSubscriptionEnded
+	}
+	s := q.s
+	m, err := s.recvAny(ctx, wire.KindSubUpdate, wire.KindSubEnd)
+	if err != nil {
+		return zero, err
+	}
 	if _, ended := m.(wire.SubEnd); ended {
 		q.closed = true
-		return nil, ErrSubscriptionEnded
+		return zero, ErrSubscriptionEnded
 	}
 	u := m.(wire.SubUpdate)
 
 	var start time.Time
-	if q.s.lat != nil {
+	if s.lat != nil {
 		start = time.Now()
 	}
-	s, st := q.s, q.st
 	if u.From != q.version || u.To <= u.From {
-		return nil, s.abort(ctx, fmt.Errorf("%w: sub update spans %d..%d, want from %d",
+		return zero, s.abort(ctx, fmt.Errorf("%w: sub update spans %d..%d, want from %d",
 			ErrMalformedReply, u.From, u.To, q.version))
 	}
-	if u.HasExt {
-		return nil, s.abort(ctx, fmt.Errorf("%w: ext payloads in an intersection sub update", ErrMalformedReply))
-	}
-	if err := s.checkElems(ctx, u.Upserts, -1, "pushed inserts", true); err != nil {
-		return nil, s.abort(ctx, err)
+	if err := s.checkElems(ctx, u.Upserts, -1, "pushed upserts", true); err != nil {
+		return zero, s.abort(ctx, err)
 	}
 	if err := s.checkElems(ctx, u.Deleted, -1, "pushed deletes", true); err != nil {
-		return nil, s.abort(ctx, err)
+		return zero, s.abort(ctx, err)
 	}
-
-	// Lift each pushed f_eS(h(v)) into the double-encrypted domain with
-	// the retained e_R — by commutativity f_eR(f_eS(h(v))) is exactly the
-	// Z_S representation — then update membership by map surgery.
-	ins, err := s.encryptSet(ctx, st.eR, u.Upserts)
-	if err != nil {
-		return nil, s.abort(ctx, err)
+	if err := q.st.fold(ctx, s, u); err != nil {
+		return zero, s.abort(ctx, err)
 	}
-	del, err := s.encryptSet(ctx, st.eR, u.Deleted)
-	if err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	for _, z := range ins {
-		k := st.ky.key(z)
-		if _, dup := st.zSet[k]; dup {
-			return nil, s.abort(ctx, fmt.Errorf("%w: pushed insert already present", ErrMalformedReply))
-		}
-		st.zSet[k] = struct{}{}
-	}
-	for _, z := range del {
-		k := st.ky.key(z)
-		if _, ok := st.zSet[k]; !ok {
-			return nil, s.abort(ctx, fmt.Errorf("%w: pushed delete not present", ErrMalformedReply))
-		}
-		delete(st.zSet, k)
-	}
-	st.peerSize += len(ins) - len(del)
 	q.version = u.To
 
 	if err := s.send(ctx, wire.SubAck{Version: u.To}); err != nil {
-		return nil, err
+		return zero, err
 	}
 	if s.lat != nil {
 		s.lat.Record(obs.LatDeltaApply, time.Since(start))
 	}
-	q.res = st.result(q.version)
+	q.res = q.st.result(q.version)
 	return q.res, nil
 }
 
 // Close unsubscribes: the sender sees the SubEnd (or the closed
 // connection) and stops pushing.  Safe to call after the subscription
 // already ended.
-func (q *StandingIntersection) Close(ctx context.Context) error {
+func (q *Standing[R]) Close(ctx context.Context) error {
 	if q.closed {
 		return nil
 	}
 	q.closed = true
 	return q.s.send(ctx, wire.SubEnd{Code: wire.SubEndClient})
+}
+
+// fold lifts each pushed f_eS(h(v)) into the double-encrypted domain
+// with the retained e_R — by commutativity f_eR(f_eS(h(v))) is exactly
+// the Z_S representation — then updates membership by map surgery.
+// Per update the receiver performs exactly (nIns+nDel) encryptions and
+// no oracle hashes (costmodel.IntersectionUpdateOps).
+func (st *intersectionState) fold(ctx context.Context, s *session, u wire.SubUpdate) error {
+	if u.HasExt {
+		return fmt.Errorf("%w: ext payloads in an intersection sub update", ErrMalformedReply)
+	}
+	ins, err := s.encryptSet(ctx, st.eR, u.Upserts)
+	if err != nil {
+		return err
+	}
+	del, err := s.encryptSet(ctx, st.eR, u.Deleted)
+	if err != nil {
+		return err
+	}
+	for _, z := range ins {
+		k := st.ky.key(z)
+		if _, dup := st.zSet[k]; dup {
+			return fmt.Errorf("%w: pushed insert already present", ErrMalformedReply)
+		}
+		st.zSet[k] = struct{}{}
+	}
+	for _, z := range del {
+		k := st.ky.key(z)
+		if _, ok := st.zSet[k]; !ok {
+			return fmt.Errorf("%w: pushed delete not present", ErrMalformedReply)
+		}
+		delete(st.zSet, k)
+	}
+	st.peerSize += len(ins) - len(del)
+	return nil
+}
+
+// fold updates the retained match index.  The pushed elements are
+// f_eS(h(v)) — the exact key domain of the index — so an update costs
+// NO exponentiations at all: update the map, then re-decrypt only the
+// affected positions with the retained κ values, one payload
+// decryption per changed match (costmodel.JoinUpdateOps).
+func (st *equijoinState) fold(ctx context.Context, s *session, u wire.SubUpdate) error {
+	if !u.HasExt && len(u.Upserts) > 0 {
+		return fmt.Errorf("%w: equijoin sub update lacks ext payloads", ErrMalformedReply)
+	}
+	inserted := 0
+	for i, e := range u.Upserts {
+		k := st.ky.key(e)
+		if _, present := st.extByElem[k]; !present {
+			inserted++
+		}
+		st.extByElem[k] = u.UpsertExt[i]
+		if pos, mine := st.posByKey[k]; mine {
+			ext, err := s.cfg.Cipher.Decrypt(st.kappas[pos], u.UpsertExt[i])
+			if err != nil {
+				return fmt.Errorf("core: decrypting pushed ext(v): %w", err)
+			}
+			if s.counters != nil {
+				s.counters.AddPayloadDecrypts(1)
+			}
+			idx := st.order[pos]
+			st.matched[idx] = &JoinMatch{Value: st.vR[idx], Ext: ext}
+		}
+	}
+	for _, e := range u.Deleted {
+		k := st.ky.key(e)
+		if _, present := st.extByElem[k]; !present {
+			return fmt.Errorf("%w: pushed delete not present", ErrMalformedReply)
+		}
+		delete(st.extByElem, k)
+		if pos, mine := st.posByKey[k]; mine {
+			st.matched[st.order[pos]] = nil
+		}
+	}
+	st.peerSize += inserted - len(u.Deleted)
+	return nil
+}
+
+// checkStandingSender rejects configurations a standing sender cannot
+// serve.
+func checkStandingSender(cfg Config) error {
+	if cfg.Shards > 1 {
+		return errStandingSharded
+	}
+	if cfg.DeltaSource == nil {
+		return errors.New("core: standing sender requires a DeltaSource")
+	}
+	return nil
 }
 
 // IntersectionSenderStanding runs party S of the intersection protocol
@@ -173,22 +265,45 @@ func (q *StandingIntersection) Close(ctx context.Context) error {
 // sender ends the subscription because a delta is unavailable or over
 // the churn bound (nil error after a SubEnd push), or when ctx ends.
 func IntersectionSenderStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return nil, errStandingSharded
-	}
-	if cfg.DeltaSource == nil {
-		return nil, errors.New("core: standing sender requires a DeltaSource")
+	if err := checkStandingSender(cfg); err != nil {
+		return nil, err
 	}
 	s := newSession(ctx, cfg, conn)
-	info, eS, sortedYS, err := s.intersectionSenderRun(ctx, dedup(values))
+	ph, err := s.intersectionSenderRun(ctx, dedup(values))
 	if err != nil {
 		return nil, err
 	}
-	cs, err := commutative.CachedSetFromSorted(eS, sortedYS, nil)
+	info := &SenderInfo{ReceiverSetSize: ph.peerSize}
+	cs, err := commutative.CachedSetFromSorted(ph.eS, ph.sortedYS, nil)
 	if err != nil {
 		return info, fmt.Errorf("core: retaining encrypted set: %w", err)
 	}
 	return info, s.serveSubscription(ctx, cs, nil, false)
+}
+
+// EquijoinSenderStanding runs party S of the equijoin protocol exactly
+// as EquijoinSender does, then serves the peer's standing query with
+// one SubUpdate per version step: upserted values ship as
+// ⟨f_eS(h(v)), K(κ(v), ext(v))⟩ under the pinned keys, deletes as bare
+// f_eS(h(v)).  cfg.DeltaSource must be non-nil.
+func EquijoinSenderStanding(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
+	if err := checkStandingSender(cfg); err != nil {
+		return nil, err
+	}
+	s := newSession(ctx, cfg, conn)
+	vS, exts, err := dedupRecords(records)
+	if err != nil {
+		return nil, err
+	}
+	info, eS, ePrimeS, outElems, outExts, err := s.equijoinSenderRun(ctx, vS, exts)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := commutative.CachedSetFromSorted(eS, outElems, outExts)
+	if err != nil {
+		return info, fmt.Errorf("core: retaining encrypted set: %w", err)
+	}
+	return info, s.serveSubscription(ctx, cs, ePrimeS, true)
 }
 
 // subRecvErr classifies an error from receiving a subscription-phase
@@ -389,164 +504,4 @@ func (s *session) pushDelta(ctx context.Context, cs *commutative.CachedSet, extK
 		u.Upserts = cd.Inserted
 	}
 	return next, u, true
-}
-
-// StandingJoin is party R's half of a standing equijoin query: after
-// the base run, R retains the match index keyed by f_eS(h(v)) together
-// with its per-position κ values, so a pushed delta costs it NO
-// exponentiations at all — the pushed elements are already in the
-// index's key domain — and one payload decryption per changed match.
-//
-// A StandingJoin is not safe for concurrent use.
-type StandingJoin struct {
-	s       *session
-	st      *equijoinState
-	res     *JoinResult
-	version uint64
-	closed  bool
-}
-
-// EquijoinReceiverStanding runs party R of the equijoin protocol
-// exactly as EquijoinReceiver does, then subscribes to the sender's
-// deltas.  The sender must be EquijoinSenderStanding.
-func EquijoinReceiverStanding(ctx context.Context, cfg Config, conn transport.Conn, values [][]byte) (*StandingJoin, error) {
-	if cfg.Shards > 1 {
-		return nil, errStandingSharded
-	}
-	s := newSession(ctx, cfg, conn)
-	st, err := s.equijoinReceiverRun(ctx, dedup(values))
-	if err != nil {
-		return nil, err
-	}
-	q := &StandingJoin{s: s, st: st, version: s.peerVersion}
-	q.res = st.result(q.version)
-	if err := s.send(ctx, wire.Subscribe{FromVersion: q.version}); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// Result returns the join as of the last applied update.
-func (q *StandingJoin) Result() *JoinResult { return q.res }
-
-// Version returns the sender data version the current result reflects.
-func (q *StandingJoin) Version() uint64 { return q.version }
-
-// Await blocks for the next pushed update, folds it into the retained
-// match index, acknowledges it, and returns the refreshed result.  It
-// returns ErrSubscriptionEnded when the sender closes the subscription.
-func (q *StandingJoin) Await(ctx context.Context) (*JoinResult, error) {
-	if q.closed {
-		return nil, ErrSubscriptionEnded
-	}
-	m, err := q.s.recvAny(ctx, wire.KindSubUpdate, wire.KindSubEnd)
-	if err != nil {
-		return nil, err
-	}
-	if _, ended := m.(wire.SubEnd); ended {
-		q.closed = true
-		return nil, ErrSubscriptionEnded
-	}
-	u := m.(wire.SubUpdate)
-
-	var start time.Time
-	if q.s.lat != nil {
-		start = time.Now()
-	}
-	s, st := q.s, q.st
-	if u.From != q.version || u.To <= u.From {
-		return nil, s.abort(ctx, fmt.Errorf("%w: sub update spans %d..%d, want from %d",
-			ErrMalformedReply, u.From, u.To, q.version))
-	}
-	if !u.HasExt && len(u.Upserts) > 0 {
-		return nil, s.abort(ctx, fmt.Errorf("%w: equijoin sub update lacks ext payloads", ErrMalformedReply))
-	}
-	if err := s.checkElems(ctx, u.Upserts, -1, "pushed upserts", true); err != nil {
-		return nil, s.abort(ctx, err)
-	}
-	if err := s.checkElems(ctx, u.Deleted, -1, "pushed deletes", true); err != nil {
-		return nil, s.abort(ctx, err)
-	}
-
-	// The pushed elements are f_eS(h(v)) — the exact key domain of the
-	// retained index.  Update the map, then re-decrypt only the affected
-	// positions with the retained κ values.
-	inserted := 0
-	for i, e := range u.Upserts {
-		k := st.ky.key(e)
-		if _, present := st.extByElem[k]; !present {
-			inserted++
-		}
-		st.extByElem[k] = u.UpsertExt[i]
-		if pos, mine := st.posByKey[k]; mine {
-			ext, err := s.cfg.Cipher.Decrypt(st.kappas[pos], u.UpsertExt[i])
-			if err != nil {
-				return nil, s.abort(ctx, fmt.Errorf("core: decrypting pushed ext(v): %w", err))
-			}
-			if s.counters != nil {
-				s.counters.AddPayloadDecrypts(1)
-			}
-			idx := st.order[pos]
-			st.matched[idx] = &JoinMatch{Value: st.vR[idx], Ext: ext}
-		}
-	}
-	for _, e := range u.Deleted {
-		k := st.ky.key(e)
-		if _, present := st.extByElem[k]; !present {
-			return nil, s.abort(ctx, fmt.Errorf("%w: pushed delete not present", ErrMalformedReply))
-		}
-		delete(st.extByElem, k)
-		if pos, mine := st.posByKey[k]; mine {
-			st.matched[st.order[pos]] = nil
-		}
-	}
-	st.peerSize += inserted - len(u.Deleted)
-	q.version = u.To
-
-	if err := s.send(ctx, wire.SubAck{Version: u.To}); err != nil {
-		return nil, err
-	}
-	if s.lat != nil {
-		s.lat.Record(obs.LatDeltaApply, time.Since(start))
-	}
-	q.res = st.result(q.version)
-	return q.res, nil
-}
-
-// Close unsubscribes.  Safe to call after the subscription already
-// ended.
-func (q *StandingJoin) Close(ctx context.Context) error {
-	if q.closed {
-		return nil
-	}
-	q.closed = true
-	return q.s.send(ctx, wire.SubEnd{Code: wire.SubEndClient})
-}
-
-// EquijoinSenderStanding runs party S of the equijoin protocol exactly
-// as EquijoinSender does, then serves the peer's standing query with
-// one SubUpdate per version step: upserted values ship as
-// ⟨f_eS(h(v)), K(κ(v), ext(v))⟩ under the pinned keys, deletes as bare
-// f_eS(h(v)).  cfg.DeltaSource must be non-nil.
-func EquijoinSenderStanding(ctx context.Context, cfg Config, conn transport.Conn, records []JoinRecord) (*SenderInfo, error) {
-	if cfg.Shards > 1 {
-		return nil, errStandingSharded
-	}
-	if cfg.DeltaSource == nil {
-		return nil, errors.New("core: standing sender requires a DeltaSource")
-	}
-	s := newSession(ctx, cfg, conn)
-	vS, exts, err := dedupRecords(records)
-	if err != nil {
-		return nil, err
-	}
-	info, eS, ePrimeS, outElems, outExts, err := s.equijoinSenderRun(ctx, vS, exts)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := commutative.CachedSetFromSorted(eS, outElems, outExts)
-	if err != nil {
-		return info, fmt.Errorf("core: retaining encrypted set: %w", err)
-	}
-	return info, s.serveSubscription(ctx, cs, ePrimeS, true)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -624,5 +625,151 @@ func TestCacheDeltaUpgradeJoinExact(t *testing.T) {
 	}
 	if len(exts) != nInt2 || exts["common-0"] != string(updated.Ext) {
 		t.Errorf("delta-requery matches = %v", exts)
+	}
+}
+
+// TestStandingRejectsMalformedUpdates pushes hand-built bad SubUpdates
+// at both standing receivers after an honest base run.  Each must abort
+// the subscription with ErrMalformedReply and send the peer a
+// wire.ErrorMsg: the checks every protocol's fold relies on.
+func TestStandingRejectsMalformedUpdates(t *testing.T) {
+	const version = 7
+	vR, vS := overlapping(6, 5, 2)
+	records := make([]JoinRecord, len(vS))
+	for i, v := range vS {
+		records[i] = JoinRecord{Value: v, Ext: []byte("ext-" + string(v))}
+	}
+	oracle := testConfig(0).normalized().Oracle
+	lo, hi := oracle.HashString("x"), oracle.HashString("y")
+	if lo.Cmp(hi) > 0 {
+		lo, hi = hi, lo
+	}
+	absent := oracle.HashString("absent")
+	ext := []byte("payload")
+
+	// present is f_eS(h(v)) for some v ∈ V_S, read from the sender's cache.
+	cases := []struct {
+		name   string
+		join   bool
+		update func(present *big.Int) wire.SubUpdate
+	}{
+		{"intersection/wrong from", false, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version - 1, To: version + 1}
+		}},
+		{"intersection/to not after from", false, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version}
+		}},
+		{"intersection/has ext", false, func(p *big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, HasExt: true,
+				Upserts: []*big.Int{absent}, UpsertExt: [][]byte{ext}}
+		}},
+		{"intersection/duplicate insert", false, func(p *big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, Upserts: []*big.Int{p}}
+		}},
+		{"intersection/absent delete", false, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, Deleted: []*big.Int{absent}}
+		}},
+		{"intersection/non-member", false, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, Upserts: []*big.Int{big.NewInt(0)}}
+		}},
+		{"intersection/unsorted", false, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, Upserts: []*big.Int{hi, lo}}
+		}},
+		{"equijoin/wrong from", true, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version + 1, To: version + 2, HasExt: true}
+		}},
+		{"equijoin/to not after from", true, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version - 1, HasExt: true}
+		}},
+		{"equijoin/lacks ext", true, func(p *big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, Upserts: []*big.Int{p}}
+		}},
+		{"equijoin/absent delete", true, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, HasExt: true, Deleted: []*big.Int{absent}}
+		}},
+		{"equijoin/non-member", true, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, HasExt: true, Deleted: []*big.Int{big.NewInt(0)}}
+		}},
+		{"equijoin/unsorted", true, func(*big.Int) wire.SubUpdate {
+			return wire.SubUpdate{From: version, To: version + 1, HasExt: true,
+				Upserts: []*big.Int{hi, lo}, UpsertExt: [][]byte{ext, ext}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			connR, connS := transport.Pipe()
+			defer connR.Close()
+			defer connS.Close()
+
+			// An honest one-shot sender runs the base protocol; the test
+			// then plays the sender's side of the subscription.
+			cache := NewSenderSetCache(1<<20, nil)
+			cfgS := testConfig(2)
+			cfgS.DataVersion, cfgS.SetCache = version, cache
+			sent := make(chan error, 1)
+			go func() {
+				var err error
+				if tc.join {
+					_, err = EquijoinSender(ctx, cfgS, connS, records)
+				} else {
+					_, err = IntersectionSender(ctx, cfgS, connS, vS)
+				}
+				sent <- err
+			}()
+			var await func(context.Context) error
+			if tc.join {
+				q, err := EquijoinReceiverStanding(ctx, testConfig(1), connR, vR)
+				if err != nil {
+					t.Fatalf("base run: %v", err)
+				}
+				await = func(ctx context.Context) error { _, err := q.Await(ctx); return err }
+			} else {
+				q, err := IntersectionReceiverStanding(ctx, testConfig(1), connR, vR)
+				if err != nil {
+					t.Fatalf("base run: %v", err)
+				}
+				await = func(ctx context.Context) error { _, err := q.Await(ctx); return err }
+			}
+			if err := <-sent; err != nil {
+				t.Fatalf("base sender: %v", err)
+			}
+
+			codec := wire.NewCodec(cfgS.normalized().Group)
+			recv := func() wire.Message {
+				t.Helper()
+				data, err := connS.Recv(ctx)
+				if err != nil {
+					t.Fatalf("sender side recv: %v", err)
+				}
+				m, err := codec.Decode(data)
+				if err != nil {
+					t.Fatalf("sender side decode: %v", err)
+				}
+				return m
+			}
+			if sub, ok := recv().(wire.Subscribe); !ok || sub.FromVersion != version {
+				t.Fatalf("expected Subscribe from version %d, got %+v", version, sub)
+			}
+			ent, ok := cache.Lookup(SetCacheKey{})
+			if !ok {
+				t.Fatal("base run left no cache entry")
+			}
+			frame, err := codec.Encode(tc.update(ent.Set.Elems()[0]))
+			if err != nil {
+				t.Fatalf("encoding the update: %v", err)
+			}
+			if err := connS.Send(ctx, frame); err != nil {
+				t.Fatalf("pushing the update: %v", err)
+			}
+
+			if err := await(ctx); !errors.Is(err, ErrMalformedReply) {
+				t.Fatalf("Await err = %v, want ErrMalformedReply", err)
+			}
+			if m, ok := recv().(wire.ErrorMsg); !ok {
+				t.Errorf("peer got %v after a malformed update, want an error message", m.Kind())
+			}
+		})
 	}
 }

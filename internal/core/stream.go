@@ -180,7 +180,9 @@ func (s *session) recvElemsFunc(ctx context.Context, wantLen int, what string, r
 	if wantLen >= 0 && count != wantLen {
 		return nil, s.abort(ctx, fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, count, wantLen))
 	}
-	elems := make([]*big.Int, 0, count)
+	// The slice grows as chunks arrive: count is only the peer's claim,
+	// so nothing is allocated for entries it has not yet sent.
+	var elems []*big.Int
 	var prev *big.Int
 	chunks := uint32(0)
 	for {
@@ -517,8 +519,11 @@ func (s *session) recvExtPairs(ctx context.Context, wantLen int, what string) ([
 	if wantLen >= 0 && count != wantLen {
 		return nil, nil, s.abort(ctx, fmt.Errorf("%w: %s has %d elements, want %d", ErrMalformedReply, what, count, wantLen))
 	}
-	elems := make([]*big.Int, 0, count)
-	exts := make([][]byte, 0, count)
+	// Grown as chunks arrive, like recvElemsFunc's vector.
+	var (
+		elems []*big.Int
+		exts  [][]byte
+	)
 	var prev *big.Int
 	chunks := uint32(0)
 	for {

@@ -15,13 +15,13 @@ import "minshare/internal/wire"
 // are certified operation-for-operation against live obs counters, as
 // the warm forms are.
 
-// IntersectionDeltaUpgrade returns exactly what a delta-upgraded
+// intersectionDeltaUpgrade returns exactly what a delta-upgraded
 // intersection-family requery adds over the pure warm run: hashing the
 // churn (Ch per inserted and deleted value), one re-encryption per
 // churned value under the pinned e_S, and the sort of the delta
 // vectors.  Updated values (ext-only changes) cost nothing here — set
 // membership is unchanged.
-func IntersectionDeltaUpgrade(nIns, nDel int) OpCounts {
+func intersectionDeltaUpgrade(nIns, nDel int) OpCounts {
 	c := int64(nIns + nDel)
 	return OpCounts{Ce: c, Ch: c, SortElems: c}
 }
@@ -30,22 +30,16 @@ func IntersectionDeltaUpgrade(nIns, nDel int) OpCounts {
 // its cached set by delta: the warm census over the *current* sizes
 // plus the churn surcharge.  nS is the post-churn |V_S|.
 func IntersectionDeltaOps(nS, nR, nIns, nDel int) OpCounts {
-	return addOps(IntersectionOpsWarm(nS, nR), IntersectionDeltaUpgrade(nIns, nDel))
+	return addOps(IntersectionOpsWarm(nS, nR), intersectionDeltaUpgrade(nIns, nDel))
 }
 
-// IntersectionSizeDeltaOps equals IntersectionDeltaOps, as the warm
-// censuses coincide.
-func IntersectionSizeDeltaOps(nS, nR, nIns, nDel int) OpCounts {
-	return IntersectionDeltaOps(nS, nR, nIns, nDel)
-}
-
-// JoinDeltaUpgrade returns exactly what a delta-upgraded equijoin
+// joinDeltaUpgrade returns exactly what a delta-upgraded equijoin
 // requery adds over the pure warm run.  Each upserted value (inserted,
 // or present with a changed ext) is hashed once and encrypted twice —
 // under e_S for the pair vector and under e'_S for its κ(v) — plus one
 // payload encryption K(κ(v), ext(v)); each deleted value is hashed and
 // encrypted once under e_S to locate it in the sorted vector.
-func JoinDeltaUpgrade(nUps, nDel int) OpCounts {
+func joinDeltaUpgrade(nUps, nDel int) OpCounts {
 	return OpCounts{
 		Ce:        int64(2*nUps + nDel),
 		Ch:        int64(nUps + nDel),
@@ -58,7 +52,7 @@ func JoinDeltaUpgrade(nUps, nDel int) OpCounts {
 // upgraded its cached set by delta: the warm census over the current
 // sizes plus the upsert/delete surcharge.  nS is the post-churn |V_S|.
 func JoinDeltaOps(nS, nR, nUps, nDel, nIntersection int) OpCounts {
-	return addOps(JoinOpsWarm(nS, nR, nIntersection), JoinDeltaUpgrade(nUps, nDel))
+	return addOps(JoinOpsWarm(nS, nR, nIntersection), joinDeltaUpgrade(nUps, nDel))
 }
 
 // IntersectionUpdateOps is the census of ONE standing-query update for
@@ -74,14 +68,14 @@ func IntersectionUpdateOps(nIns, nDel int) OpCounts {
 }
 
 // JoinUpdateOps is the census of ONE standing-query update for the
-// equijoin: the sender pays the JoinDeltaUpgrade surcharge (hash,
+// equijoin: the sender pays the joinDeltaUpgrade surcharge (hash,
 // double-encrypt upserts, single-encrypt deletes, payload-encrypt
 // upserts); the receiver pays NO exponentiations at all — the pushed
 // elements arrive as f_eS(h(v)), the exact keys of its retained match
 // index — and decrypts only the changed matches (newMatches payload
 // decryptions with its retained κ values).
 func JoinUpdateOps(nUps, nDel, newMatches int) OpCounts {
-	o := JoinDeltaUpgrade(nUps, nDel)
+	o := joinDeltaUpgrade(nUps, nDel)
 	o.CK += int64(newMatches)
 	return o
 }

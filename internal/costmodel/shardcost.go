@@ -107,11 +107,11 @@ func (w WireCost) Plus(o WireCost) WireCost {
 	return w
 }
 
-// ShardedOuterWireCost is the coordinator's own envelope: one extended
+// shardedOuterWireCost is the coordinator's own envelope: one extended
 // sharded handshake header in each direction and nothing else — after
 // the outer handshake, every frame belongs to some sub-session.
 // outerHeaderLen is wire.ShardedHeaderLen for the negotiated backend.
-func ShardedOuterWireCost(outerHeaderLen int64) WireCost {
+func shardedOuterWireCost(outerHeaderLen int64) WireCost {
 	return WireCost{
 		FramesSent:       1,
 		FramesRecv:       1,
@@ -126,7 +126,7 @@ func ShardedOuterWireCost(outerHeaderLen int64) WireCost {
 // own classic headers inside its mux stream).  chunk <= 0 runs the
 // sub-protocols in legacy one-shot framing.
 func ShardedIntersectionWireCost(shardS, shardR []int, elemLen, chunk int) WireCost {
-	w := ShardedOuterWireCost(wire.ShardedHeaderLen(0, len(shardS)))
+	w := shardedOuterWireCost(wire.ShardedHeaderLen(0, len(shardS)))
 	for i := range shardS {
 		w = w.Plus(IntersectionWireCostChunked(shardS[i], shardR[i], elemLen, chunk))
 	}
@@ -136,7 +136,7 @@ func ShardedIntersectionWireCost(shardS, shardR []int, elemLen, chunk int) WireC
 // ShardedJoinWireCost is the equijoin analogue of
 // ShardedIntersectionWireCost.
 func ShardedJoinWireCost(shardS, shardR []int, elemLen, extLen, chunk int) WireCost {
-	w := ShardedOuterWireCost(wire.ShardedHeaderLen(0, len(shardS)))
+	w := shardedOuterWireCost(wire.ShardedHeaderLen(0, len(shardS)))
 	for i := range shardS {
 		w = w.Plus(JoinWireCostChunked(shardS[i], shardR[i], elemLen, extLen, chunk))
 	}

@@ -118,7 +118,22 @@ func (c *Client) retryPause(ctx context.Context, n int) bool {
 	return true
 }
 
+// withConn runs one session f over a freshly dialed connection and
+// closes it afterwards.
 func (c *Client) withConn(ctx context.Context, f func(conn transport.Conn) error) error {
+	conn, err := c.dialRun(ctx, f)
+	if err == nil {
+		_ = conn.Close()
+	}
+	return err
+}
+
+// dialRun dials under the Retry policy and runs f over the connection.
+// On success the connection is returned still open, so a session that
+// outlives the call (a standing query) can keep it; on failure it is
+// closed.  Dial failures are retried; a session whose frames may have
+// reached the peer is never re-run.
+func (c *Client) dialRun(ctx context.Context, f func(conn transport.Conn) error) (transport.Conn, error) {
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -127,7 +142,7 @@ func (c *Client) withConn(ctx context.Context, f func(conn transport.Conn) error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			if !c.retryPause(ctx, attempt-1) {
-				return err
+				return nil, err
 			}
 		}
 		var conn transport.Conn
@@ -135,20 +150,21 @@ func (c *Client) withConn(ctx context.Context, f func(conn transport.Conn) error
 		if err != nil {
 			err = fmt.Errorf("party: dialing %s: %w", c.addr, err)
 			if ctx.Err() != nil {
-				return err
+				return nil, err
 			}
 			continue // nothing reached the peer: safe to retry
 		}
 		probe := &sendProbe{Conn: conn}
-		err = f(probe)
+		if err = f(probe); err == nil {
+			return probe, nil
+		}
 		_ = conn.Close()
-		if err == nil || probe.attempted.Load() || ctx.Err() != nil {
-			// Success, or the peer may have seen our header — either way
-			// this attempt is the last.
-			return err
+		if probe.attempted.Load() || ctx.Err() != nil {
+			// The peer may have seen our header: never re-run.
+			return nil, err
 		}
 	}
-	return err
+	return nil, err
 }
 
 // observe attaches a client-side obs session to ctx when the client has

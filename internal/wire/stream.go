@@ -131,20 +131,14 @@ func (c *Codec) encodeStreamChunk(buf []byte, v StreamChunk) []byte {
 }
 
 func (c *Codec) decodeStreamChunk(buf []byte) (Message, error) {
-	n, buf, err := getCount(buf)
+	cols, _, buf, err := c.getVector(buf, 1, false)
 	if err != nil {
 		return nil, err
-	}
-	v := StreamChunk{Elems: make([]*big.Int, n)}
-	for i := 0; i < n; i++ {
-		if v.Elems[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
 	}
 	if err := trailing(buf); err != nil {
 		return nil, err
 	}
-	return v, nil
+	return StreamChunk{Elems: cols[0]}, nil
 }
 
 func (c *Codec) encodeStreamExtChunk(buf []byte, v StreamExtChunk) ([]byte, error) {
@@ -161,29 +155,14 @@ func (c *Codec) encodeStreamExtChunk(buf []byte, v StreamExtChunk) ([]byte, erro
 }
 
 func (c *Codec) decodeStreamExtChunk(buf []byte) (Message, error) {
-	n, buf, err := getCount(buf)
+	cols, ext, buf, err := c.getVector(buf, 1, true)
 	if err != nil {
 		return nil, err
-	}
-	v := StreamExtChunk{Elem: make([]*big.Int, n), Ext: make([][]byte, n)}
-	for i := 0; i < n; i++ {
-		if v.Elem[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
-		var l int
-		if l, buf, err = getCount(buf); err != nil {
-			return nil, err
-		}
-		if len(buf) < l {
-			return nil, ErrTruncated
-		}
-		v.Ext[i] = append([]byte(nil), buf[:l]...)
-		buf = buf[l:]
 	}
 	if err := trailing(buf); err != nil {
 		return nil, err
 	}
-	return v, nil
+	return StreamExtChunk{Elem: cols[0], Ext: ext}, nil
 }
 
 func (c *Codec) encodeStreamEnd(buf []byte, v StreamEnd) []byte {

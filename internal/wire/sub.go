@@ -184,39 +184,15 @@ func (c *Codec) decodeSubUpdate(buf []byte) (Message, error) {
 		return nil, fmt.Errorf("wire: sub-update ext flag %d", buf[0])
 	}
 	buf = buf[1:]
-	n, buf, err := getCount(buf)
+	cols, ext, buf, err := c.getVector(buf, 1, v.HasExt)
 	if err != nil {
 		return nil, err
 	}
-	v.Upserts = make([]*big.Int, n)
-	if v.HasExt {
-		v.UpsertExt = make([][]byte, n)
-	}
-	for i := 0; i < n; i++ {
-		if v.Upserts[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
-		if v.HasExt {
-			var l int
-			if l, buf, err = getCount(buf); err != nil {
-				return nil, err
-			}
-			if len(buf) < l {
-				return nil, ErrTruncated
-			}
-			v.UpsertExt[i] = append([]byte(nil), buf[:l]...)
-			buf = buf[l:]
-		}
-	}
-	if n, buf, err = getCount(buf); err != nil {
+	v.Upserts, v.UpsertExt = cols[0], ext
+	if cols, _, buf, err = c.getVector(buf, 1, false); err != nil {
 		return nil, err
 	}
-	v.Deleted = make([]*big.Int, n)
-	for i := 0; i < n; i++ {
-		if v.Deleted[i], buf, err = c.getElem(buf); err != nil {
-			return nil, err
-		}
-	}
+	v.Deleted = cols[0]
 	if err := trailing(buf); err != nil {
 		return nil, err
 	}

@@ -354,6 +354,53 @@ func getCount(buf []byte) (int, []byte, error) {
 	return int(n), buf[4:], nil
 }
 
+// getVector decodes a count-prefixed vector whose entries are width
+// elements each, followed, when withExt, by a length-prefixed payload.
+// cols[j][i] is element j of entry i; rest is what follows the vector.
+// The count is checked against the bytes left in the frame before
+// anything is allocated — every entry takes at least width·elemLen
+// (+4 with a payload) bytes — so the memory a peer can make us allocate
+// is bounded by the bytes it sends, not by the count it declares.
+func (c *Codec) getVector(buf []byte, width int, withExt bool) (cols [][]*big.Int, ext [][]byte, rest []byte, err error) {
+	n, buf, err := getCount(buf)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	minEntry := width * c.elemLen
+	if withExt {
+		minEntry += 4
+	}
+	if n > len(buf)/minEntry {
+		return nil, nil, nil, fmt.Errorf("%w: %d entries declared in %d bytes", ErrTruncated, n, len(buf))
+	}
+	cols = make([][]*big.Int, width)
+	for j := range cols {
+		cols[j] = make([]*big.Int, n)
+	}
+	if withExt {
+		ext = make([][]byte, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := range cols {
+			if cols[j][i], buf, err = c.getElem(buf); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		if withExt {
+			var l int
+			if l, buf, err = getCount(buf); err != nil {
+				return nil, nil, nil, err
+			}
+			if len(buf) < l {
+				return nil, nil, nil, ErrTruncated
+			}
+			ext[i] = append([]byte(nil), buf[:l]...)
+			buf = buf[l:]
+		}
+	}
+	return cols, ext, buf, nil
+}
+
 // Encode serializes a message as kind byte + body.
 func (c *Codec) Encode(m Message) ([]byte, error) {
 	buf := []byte{byte(m.Kind())}
@@ -490,83 +537,41 @@ func (c *Codec) Decode(data []byte) (Message, error) {
 		}
 		return h, nil
 	case KindElements:
-		n, buf, err := getCount(buf)
+		cols, _, buf, err := c.getVector(buf, 1, false)
 		if err != nil {
 			return nil, err
-		}
-		v := Elements{Elems: make([]*big.Int, n)}
-		for i := 0; i < n; i++ {
-			if v.Elems[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
 		}
 		if err := trailing(buf); err != nil {
 			return nil, err
 		}
-		return v, nil
+		return Elements{Elems: cols[0]}, nil
 	case KindPairs:
-		n, buf, err := getCount(buf)
+		cols, _, buf, err := c.getVector(buf, 2, false)
 		if err != nil {
 			return nil, err
-		}
-		v := Pairs{A: make([]*big.Int, n), B: make([]*big.Int, n)}
-		for i := 0; i < n; i++ {
-			if v.A[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			if v.B[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
 		}
 		if err := trailing(buf); err != nil {
 			return nil, err
 		}
-		return v, nil
+		return Pairs{A: cols[0], B: cols[1]}, nil
 	case KindTriples:
-		n, buf, err := getCount(buf)
+		cols, _, buf, err := c.getVector(buf, 3, false)
 		if err != nil {
 			return nil, err
-		}
-		v := Triples{A: make([]*big.Int, n), B: make([]*big.Int, n), C: make([]*big.Int, n)}
-		for i := 0; i < n; i++ {
-			if v.A[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			if v.B[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			if v.C[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
 		}
 		if err := trailing(buf); err != nil {
 			return nil, err
 		}
-		return v, nil
+		return Triples{A: cols[0], B: cols[1], C: cols[2]}, nil
 	case KindExtPairs:
-		n, buf, err := getCount(buf)
+		cols, ext, buf, err := c.getVector(buf, 1, true)
 		if err != nil {
 			return nil, err
-		}
-		v := ExtPairs{Elem: make([]*big.Int, n), Ext: make([][]byte, n)}
-		for i := 0; i < n; i++ {
-			if v.Elem[i], buf, err = c.getElem(buf); err != nil {
-				return nil, err
-			}
-			var l int
-			if l, buf, err = getCount(buf); err != nil {
-				return nil, err
-			}
-			if len(buf) < l {
-				return nil, ErrTruncated
-			}
-			v.Ext[i] = append([]byte(nil), buf[:l]...)
-			buf = buf[l:]
 		}
 		if err := trailing(buf); err != nil {
 			return nil, err
 		}
-		return v, nil
+		return ExtPairs{Elem: cols[0], Ext: ext}, nil
 	case KindError:
 		l, buf, err := getCount(buf)
 		if err != nil {

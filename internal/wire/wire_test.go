@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -470,6 +471,42 @@ func TestGoldenVectors(t *testing.T) {
 		}
 		if _, err := c.Decode(data); err != nil {
 			t.Errorf("%s: Decode: %v", tc.name, err)
+		}
+	}
+}
+
+// TestDecodeAllocationBoundedByFrame feeds every vector-carrying kind a
+// short frame that declares MaxVectorLen entries and checks that the
+// failed decode allocates at most a small multiple of the frame's own
+// size: a count is only a claim, so the bytes actually sent must bound
+// what the decoder allocates.
+func TestDecodeAllocationBoundedByFrame(t *testing.T) {
+	c, _ := testCodec()
+	count := []byte{0x01, 0x00, 0x00, 0x00} // MaxVectorLen entries
+	frames := map[string][]byte{
+		"elements":         append([]byte{byte(KindElements)}, count...),
+		"pairs":            append([]byte{byte(KindPairs)}, count...),
+		"triples":          append([]byte{byte(KindTriples)}, count...),
+		"ext-pairs":        append([]byte{byte(KindExtPairs)}, count...),
+		"stream-chunk":     append([]byte{byte(KindStreamChunk)}, count...),
+		"stream-ext-chunk": append([]byte{byte(KindStreamExtChunk)}, count...),
+		"sub-update upserts": append(append([]byte{byte(KindSubUpdate)},
+			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 1), count...),
+		"sub-update deletes": append([]byte{byte(KindSubUpdate),
+			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0}, count...),
+	}
+	for name, frame := range frames {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.Decode(frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
+		}
+		// Generous slack for the error value and runtime bookkeeping; the
+		// unbounded decoder allocated hundreds of MiB here.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(frame)+4096); got > limit {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes, want <= %d", name, len(frame), got, limit)
 		}
 	}
 }
